@@ -4,28 +4,16 @@ per-trial reports plus per-cell summaries."""
 
 import csv
 import json
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cp_tensor import (
-    TENSOR_METHODS,
-    check_tensor_id_args,
-    cp_diff_norm,
-    gram_hadamard,
-    gram_tensor_id,
-    tensor_id_from_sketch,
-)
+from .cp_tensor import TENSOR_METHODS, cp_diff_norm
+from .cp_tensor import decompose as decompose_tensor
 from .estimators import est_spectral_norm, id_residual_operator
 from .generators import gen_synthetic_matrix, gen_synthetic_tensor
-from .matrix_id import (
-    MATRIX_METHODS,
-    check_matrix_id_args,
-    matrix_id,
-    matrix_sketch,
-)
-from .sketch import KrGaussianOp, TensorSketchOp
+from .matrix_id import MATRIX_METHODS
+from .matrix_id import decompose as decompose_matrix
 
 CSV_HEADER = [
     "kind",
@@ -107,10 +95,6 @@ class IdReport:
     error_norm_kind: str = ""
     sketch_time_seconds: float = float("nan")
     wall_time_seconds: float = float("nan")
-    parameters: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def derive_seed(master, *tags):
@@ -120,28 +104,13 @@ def derive_seed(master, *tags):
     )
 
 
-def run_matrix_trial(a, method, rank, sketch_dim, seed, est_iters=10, est_probes=2):
+def run_matrix_trial(a, method, rank, sketch_dim, seed):
     """Decompose `a`, timing the sketch and ID phases separately, and
     estimate the spectral-norm error of the result."""
-    sketch_dim = check_matrix_id_args(a, rank, sketch_dim, method)
-    t0 = time.perf_counter()
-    if method == "deterministic":
-        dense = a.toarray() if hasattr(a, "toarray") else a
-        sketch_time = 0.0
-        decomp = matrix_id(dense, rank)
-    else:
-        sketch = matrix_sketch(a, method, sketch_dim, seed=seed)
-        sketch_time = time.perf_counter() - t0
-        decomp = replace(matrix_id(sketch, rank), method=method)
-    wall = time.perf_counter() - t0
+    decomp, sketch_time, wall = decompose_matrix(a, method, rank, sketch_dim, seed)
     apply, adjoint = id_residual_operator(a, decomp)
     est = est_spectral_norm(
-        apply,
-        adjoint,
-        cols=a.shape[1],
-        iters=est_iters,
-        probes=est_probes,
-        seed=derive_seed(seed, 0xE57),
+        apply, adjoint, cols=a.shape[1], seed=derive_seed(seed, 0xE57)
     )
     return decomp, est.value, sketch_time, wall
 
@@ -149,25 +118,7 @@ def run_matrix_trial(a, method, rank, sketch_dim, seed, est_iters=10, est_probes
 def run_tensor_trial(x, method, rank, sketch_dim, seed):
     """Reduce `x`, timing the sketch (or Gram) phase separately, and compute
     the exact Frobenius error of the result."""
-    sketch_dim = check_tensor_id_args(x, rank, sketch_dim, method)
-    t0 = time.perf_counter()
-    if method == "gram":
-        gram = gram_hadamard(x)
-        sketch_time = time.perf_counter() - t0
-        result = gram_tensor_id(x, rank, gram=gram)
-    elif method == "tensorsketch":
-        op = TensorSketchOp(x.mode_dims, sketch_dim, seed=seed)
-        sketch = op.apply(x.factors, x.weights)
-        sketch_time = time.perf_counter() - t0
-        result = tensor_id_from_sketch(x, sketch, rank, method)
-    elif method == "gaussian":
-        op = KrGaussianOp(x.mode_dims, sketch_dim, seed=seed)
-        sketch = op.apply(x.factors, x.weights)
-        sketch_time = time.perf_counter() - t0
-        result = tensor_id_from_sketch(x, sketch, rank, method)
-    else:
-        raise ValueError(f"unknown tensor method {method!r}")
-    wall = time.perf_counter() - t0
+    result, sketch_time, wall = decompose_tensor(x, method, rank, sketch_dim, seed)
     err = cp_diff_norm(x, result.reduced)
     return result, err, sketch_time, wall
 
@@ -192,6 +143,10 @@ def run_experiment(cfg):
     the run. Summary rows carry the per-cell medians and means over the
     successful trials.
     """
+    if cfg.kind == "matrix":
+        run_trial, norm_kind = run_matrix_trial, "spectral-estimated"
+    else:
+        run_trial, norm_kind = run_tensor_trial, "frobenius-exact"
     reports = []
     for size in cfg.sizes:
         data = generate_input(cfg, size)
@@ -208,22 +163,12 @@ def run_experiment(cfg):
                     density=cfg.density,
                     trial=trial,
                     seed=seed,
-                    parameters={
-                        "n_modes": cfg.n_modes if cfg.kind == "tensor" else None,
-                        "master_seed": cfg.seed,
-                    },
                 )
                 try:
-                    if cfg.kind == "matrix":
-                        _, err, st, wall = run_matrix_trial(
-                            data, method, cfg.rank, cfg.sketch_dim, seed
-                        )
-                        report.error_norm_kind = "spectral-estimated"
-                    else:
-                        _, err, st, wall = run_tensor_trial(
-                            data, method, cfg.rank, cfg.sketch_dim, seed
-                        )
-                        report.error_norm_kind = "frobenius-exact"
+                    _, err, st, wall = run_trial(
+                        data, method, cfg.rank, cfg.sketch_dim, seed
+                    )
+                    report.error_norm_kind = norm_kind
                     report.error_estimate = err
                     report.sketch_time_seconds = st
                     report.wall_time_seconds = wall
@@ -273,58 +218,13 @@ def _fmt(value):
 
 def write_csv(path, reports, summaries):
     """Fixed-schema CSV: per-trial rows then per-cell summary rows."""
+    rows = [{**vars(r), "row_kind": "trial"} for r in reports]
+    rows += [
+        {**s, "status": f"ok {s['n_ok']}/{s['n_trials']}", "row_kind": "summary"}
+        for s in summaries
+    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for r in reports:
-            writer.writerow(
-                [
-                    r.kind,
-                    r.method,
-                    r.size,
-                    r.terms,
-                    r.rank,
-                    r.sketch_dim,
-                    _fmt(r.density),
-                    r.trial,
-                    r.seed,
-                    r.status,
-                    _fmt(r.error_estimate),
-                    r.error_norm_kind,
-                    _fmt(r.sketch_time_seconds),
-                    _fmt(r.wall_time_seconds),
-                    "trial",
-                    "",
-                    "",
-                    "",
-                    "",
-                    "",
-                    "",
-                ]
-            )
-        for s in summaries:
-            writer.writerow(
-                [
-                    s["kind"],
-                    s["method"],
-                    s["size"],
-                    s["terms"],
-                    s["rank"],
-                    s["sketch_dim"],
-                    _fmt(s["density"]),
-                    "",
-                    "",
-                    f"ok {s['n_ok']}/{s['n_trials']}",
-                    "",
-                    "",
-                    "",
-                    "",
-                    "summary",
-                    _fmt(s["error_median"]),
-                    _fmt(s["error_mean"]),
-                    _fmt(s["sketch_time_median"]),
-                    _fmt(s["sketch_time_mean"]),
-                    _fmt(s["wall_time_median"]),
-                    _fmt(s["wall_time_mean"]),
-                ]
-            )
+        for row in rows:
+            writer.writerow([_fmt(row.get(name)) for name in CSV_HEADER])

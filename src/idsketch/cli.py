@@ -1,36 +1,27 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on argument/usage errors, 3 on numerical
-failure (singular systems, non-finite data).
+Exit codes: 0 on success; 2 on argument/usage errors and bad input,
+including input files with non-finite entries; 3 on numerical failure
+during the computation (singular systems, floating-point errors).
 """
 
 import json
 import sys
-import time
 
 import click
 import numpy as np
 
-from .bench import ExperimentConfig, derive_seed, run_experiment, write_csv
-from .cp_tensor import (
-    TENSOR_METHODS,
-    cp_diff_norm,
-    gaussian_tensor_id,
-    gram_tensor_id,
-    load_cp_dir,
-    save_cp_dir,
-    tensorsketch_id,
+from .bench import (
+    ExperimentConfig,
+    run_experiment,
+    run_matrix_trial,
+    run_tensor_trial,
+    write_csv,
 )
-from .estimators import est_spectral_norm, id_residual_operator
+from .cp_tensor import TENSOR_METHODS, load_cp_dir, save_cp_dir
 from .generators import gen_synthetic_matrix, gen_synthetic_tensor
 from .linalg import SingularTriangleError
-from .matrix_id import (
-    MATRIX_METHODS,
-    countsketch_id,
-    gaussian_id,
-    matrix_id,
-    srft_id,
-)
+from .matrix_id import MATRIX_METHODS
 from .mmio import read_matrix_market, write_matrix_market
 
 EXIT_ARGUMENT = 2
@@ -82,21 +73,7 @@ def matrix_id_cmd(input_path, rank, method, oversample, seed, out):
     def go():
         a = read_matrix_market(input_path)
         sketch_dim = rank + oversample
-        t0 = time.perf_counter()
-        if method == "deterministic":
-            dense = a.toarray() if hasattr(a, "toarray") else a
-            decomp = matrix_id(dense, rank)
-        elif method == "countsketch":
-            decomp = countsketch_id(a, rank, sketch_dim, seed=seed)
-        elif method == "gaussian":
-            decomp = gaussian_id(a, rank, sketch_dim, seed=seed)
-        else:
-            decomp = srft_id(a, rank, sketch_dim, seed=seed)
-        wall = time.perf_counter() - t0
-        apply, adjoint = id_residual_operator(a, decomp)
-        est = est_spectral_norm(
-            apply, adjoint, cols=a.shape[1], seed=derive_seed(seed, 0xE57)
-        )
+        decomp, err, _, wall = run_matrix_trial(a, method, rank, sketch_dim, seed)
         payload = {
             "input": input_path,
             "rows": int(a.shape[0]),
@@ -105,7 +82,7 @@ def matrix_id_cmd(input_path, rank, method, oversample, seed, out):
             "rank": rank,
             "sketch_dim": None if method == "deterministic" else sketch_dim,
             "seed": seed,
-            "error_estimate": est.value,
+            "error_estimate": err,
             "error_norm_kind": "spectral-estimated",
             "wall_time_seconds": wall,
             "id": decomp.to_dict(),
@@ -134,15 +111,7 @@ def tensor_id_cmd(cp_dir, rank, method, oversample, seed, out):
     def go():
         x = load_cp_dir(cp_dir)
         sketch_dim = rank + oversample
-        t0 = time.perf_counter()
-        if method == "gram":
-            result = gram_tensor_id(x, rank)
-        elif method == "tensorsketch":
-            result = tensorsketch_id(x, rank, sketch_dim, seed=seed)
-        else:
-            result = gaussian_tensor_id(x, rank, sketch_dim, seed=seed)
-        wall = time.perf_counter() - t0
-        err = cp_diff_norm(x, result.reduced)
+        result, err, _, wall = run_tensor_trial(x, method, rank, sketch_dim, seed)
         payload = {
             "input": cp_dir,
             "n_modes": x.ndim,
@@ -155,15 +124,7 @@ def tensor_id_cmd(cp_dir, rank, method, oversample, seed, out):
             "error_estimate": err,
             "error_norm_kind": "frobenius-exact",
             "wall_time_seconds": wall,
-            "id": {
-                "method": result.method,
-                "k": int(rank),
-                "j": [int(c) for c in result.cols],
-                "p": result.coeffs.tolist(),
-                "new_svalues": result.new_weights.tolist(),
-                "numerical_rank": int(result.numerical_rank),
-                "rank_deficient": bool(result.rank_deficient),
-            },
+            "id": result.to_dict(),
         }
         _emit(payload, out)
 

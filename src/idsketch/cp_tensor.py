@@ -9,7 +9,8 @@ factor Gram matrices), so tensors are never densified outside of tests.
 """
 
 import json
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .linalg import DEFAULT_RANK_TOL, PivotedQr, as_csc, as_dense
-from .matrix_id import DEFAULT_OVERSAMPLE, _coeffs_from_pivoted, matrix_id
+from .matrix_id import (
+    DEFAULT_OVERSAMPLE,
+    InterpolativeDecomposition,
+    _coeffs_from_pivoted,
+    matrix_id,
+)
 from .mmio import read_matrix_market, write_matrix_market
 from .sketch import KrGaussianOp, TensorSketchOp
 
@@ -211,8 +217,20 @@ class TensorIdResult:
     numerical_rank: int
     rank_deficient: bool
 
+    def to_dict(self):
+        """JSON-ready form; term indices are 0-based."""
+        return {
+            "method": self.method,
+            "k": int(self.cols.size),
+            "j": [int(c) for c in self.cols],
+            "p": self.coeffs.tolist(),
+            "new_svalues": self.new_weights.tolist(),
+            "numerical_rank": int(self.numerical_rank),
+            "rank_deficient": bool(self.rank_deficient),
+        }
 
-def _assemble(x, decomp, method):
+
+def _assemble(x, decomp):
     new_weights = x.weights[decomp.cols] * decomp.coeffs.sum(axis=1)
     reduced_weights = new_weights
     if decomp.rank_deficient:
@@ -226,7 +244,7 @@ def _assemble(x, decomp, method):
         cols=decomp.cols,
         coeffs=decomp.coeffs,
         new_weights=new_weights,
-        method=method,
+        method=decomp.method,
         numerical_rank=decomp.numerical_rank,
         rank_deficient=decomp.rank_deficient,
     )
@@ -236,7 +254,7 @@ def tensor_id_from_sketch(x, sketch, rank, method, rank_tol=DEFAULT_RANK_TOL):
     """Finish a sketched tensor ID: matrix-ID the sketch, recombine weights,
     and assemble the reduced tensor from the selected terms."""
     decomp = matrix_id(sketch, rank, rank_tol=rank_tol)
-    return _assemble(x, decomp, method)
+    return _assemble(x, replace(decomp, method=method))
 
 
 def check_tensor_id_args(x, rank, sketch_dim, method):
@@ -246,6 +264,8 @@ def check_tensor_id_args(x, rank, sketch_dim, method):
     the number of tensor entries (sketching up is meaningless there).
     Returns the sketch dimension, defaulted to rank + 10.
     """
+    if method not in TENSOR_METHODS:
+        raise ValueError(f"unknown tensor method {method!r}")
     if not 1 <= rank <= x.rank:
         raise ValueError(f"rank must be in [1, {x.rank}], got {rank}")
     if method == "gram":
@@ -263,6 +283,30 @@ def check_tensor_id_args(x, rank, sketch_dim, method):
     return sketch_dim
 
 
+def decompose(x, method, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
+    """Rank reduction of `x` by any of TENSOR_METHODS, timed.
+
+    Returns (result, sketch_seconds, wall_seconds). For the gram method the
+    sketch is the Gram matrix `gram_hadamard(x)`; the wall time covers
+    validation, sketch and ID.
+    """
+    t0 = time.perf_counter()
+    sketch_dim = check_tensor_id_args(x, rank, sketch_dim, method)
+    t1 = time.perf_counter()
+    if method == "gram":
+        sketch = gram_hadamard(x)
+    else:
+        op_type = TensorSketchOp if method == "tensorsketch" else KrGaussianOp
+        op = op_type(x.mode_dims, sketch_dim, seed=seed)
+        sketch = op.apply(x.factors, x.weights)
+    sketch_seconds = time.perf_counter() - t1
+    if method == "gram":
+        result = gram_tensor_id(x, rank, gram=sketch, rank_tol=rank_tol)
+    else:
+        result = tensor_id_from_sketch(x, sketch, rank, method, rank_tol=rank_tol)
+    return result, sketch_seconds, time.perf_counter() - t0
+
+
 def tensorsketch_id(x, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
     """Rank reduction via a TensorSketch of the flattened rank-1 terms.
 
@@ -270,27 +314,13 @@ def tensorsketch_id(x, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_T
     sketch dimension L (default rank + 10); L must stay below the number of
     tensor entries.
     """
-    sketch_dim = check_tensor_id_args(x, rank, sketch_dim, "tensorsketch")
-    op = TensorSketchOp(x.mode_dims, sketch_dim, seed=seed)
-    sketch = op.apply(x.factors, x.weights)
-    return tensor_id_from_sketch(x, sketch, rank, "tensorsketch", rank_tol=rank_tol)
+    return decompose(x, "tensorsketch", rank, sketch_dim, seed, rank_tol)[0]
 
 
 def gaussian_tensor_id(x, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
     """Rank reduction via the Khatri-Rao structured Gaussian sketch,
     accumulated one mode at a time."""
-    sketch_dim = check_tensor_id_args(x, rank, sketch_dim, "gaussian")
-    op = KrGaussianOp(x.mode_dims, sketch_dim, seed=seed)
-    sketch = op.apply(x.factors, x.weights)
-    return tensor_id_from_sketch(x, sketch, rank, "gaussian", rank_tol=rank_tol)
-
-
-@dataclass(frozen=True)
-class _GramDecomp:
-    coeffs: np.ndarray
-    cols: np.ndarray
-    numerical_rank: int
-    rank_deficient: bool
+    return decompose(x, "gaussian", rank, sketch_dim, seed, rank_tol)[0]
 
 
 def gram_tensor_id(x, rank, gram=None, rank_tol=DEFAULT_RANK_TOL):
@@ -317,13 +347,15 @@ def gram_tensor_id(x, rank, gram=None, rank_tol=DEFAULT_RANK_TOL):
         q=np.empty((0, 0)), r=rt, perm=perm, numerical_rank=numerical_rank
     )
     coeffs, deficient = _coeffs_from_pivoted(pivoted, rank, rank_tol)
-    decomp = _GramDecomp(
+    decomp = InterpolativeDecomposition(
         coeffs=coeffs,
         cols=cols,
+        rank=rank,
+        method="gram",
         numerical_rank=numerical_rank,
         rank_deficient=deficient,
     )
-    return _assemble(x, decomp, "gram")
+    return _assemble(x, decomp)
 
 
 def save_cp_dir(path, x):

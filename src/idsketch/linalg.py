@@ -53,10 +53,6 @@ def as_csc(a, name="a"):
     return out
 
 
-def is_sparse(a):
-    return sp.issparse(a)
-
-
 @dataclass(frozen=True)
 class PivotedQr:
     """Rank-`k` partial column-pivoted QR factorization.

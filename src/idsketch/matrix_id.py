@@ -8,6 +8,7 @@ Gaussian, SRFT) pivot on a small row sketch of A and inherit its column
 selection, which is what makes them fast on large sparse inputs.
 """
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,7 +114,7 @@ def matrix_id(a, rank, rank_tol=DEFAULT_RANK_TOL):
     )
 
 
-def check_matrix_id_args(a, rank, sketch_dim, method="countsketch"):
+def check_matrix_id_args(a, rank, sketch_dim, method):
     """Validate the rank/sketch-dimension preconditions of a sketched matrix
     ID; returns the sketch dimension, defaulted to rank + 10.
 
@@ -121,11 +122,10 @@ def check_matrix_id_args(a, rank, sketch_dim, method="countsketch"):
     input is pointless; use the deterministic method instead).
     """
     rows, ncols = a.shape
-    if not 1 <= rank <= ncols:
-        raise ValueError(f"rank must be in [1, {ncols}], got {rank}")
+    limit = min(rows, ncols) if method == "deterministic" else ncols
+    if not 1 <= rank <= limit:
+        raise ValueError(f"rank must be in [1, {limit}], got {rank}")
     if method == "deterministic":
-        if rank > min(rows, ncols):
-            raise ValueError(f"rank must be <= {min(rows, ncols)}, got {rank}")
         return None
     if sketch_dim is None:
         sketch_dim = rank + DEFAULT_OVERSAMPLE
@@ -141,7 +141,7 @@ def check_matrix_id_args(a, rank, sketch_dim, method="countsketch"):
     return sketch_dim
 
 
-def matrix_sketch(a, method, sketch_dim, seed=None, surjective=True):
+def matrix_sketch(a, method, sketch_dim, seed=None):
     """Row sketch of `a` for the given randomized method.
 
     Returns the dense sketch whose ID is also an ID of `a` (the SRFT sketch
@@ -149,7 +149,7 @@ def matrix_sketch(a, method, sketch_dim, seed=None, surjective=True):
     """
     rows = a.shape[0]
     if method == "countsketch":
-        op = CountSketchOp(rows, sketch_dim, seed=seed, surjective=surjective)
+        op = CountSketchOp(rows, sketch_dim, seed=seed, surjective=True)
     elif method == "gaussian":
         op = GaussianOp(rows, sketch_dim, seed=seed)
     elif method == "srft":
@@ -159,32 +159,43 @@ def matrix_sketch(a, method, sketch_dim, seed=None, surjective=True):
     return op.apply(a)
 
 
-def _sketched_id(a, rank, sketch_dim, seed, method, rank_tol, surjective=True):
-    a = as_csc(a) if sp.issparse(a) else as_dense(a)
+def decompose(a, method, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
+    """Rank-`rank` ID of `a` by any of MATRIX_METHODS, timed.
+
+    Returns (decomposition, sketch_seconds, wall_seconds). The sketch time
+    is 0.0 for the deterministic method, which densifies sparse input; the
+    wall time covers validation, sketch and ID.
+    """
+    t0 = time.perf_counter()
+    if method == "deterministic":
+        a = as_dense(a.toarray() if sp.issparse(a) else a)
+    else:
+        a = as_csc(a) if sp.issparse(a) else as_dense(a)
     sketch_dim = check_matrix_id_args(a, rank, sketch_dim, method)
-    sketch = matrix_sketch(a, method, sketch_dim, seed=seed, surjective=surjective)
-    base = matrix_id(sketch, rank, rank_tol=rank_tol)
-    return replace(base, method=method)
+    sketch_seconds = 0.0
+    target = a
+    if method != "deterministic":
+        t1 = time.perf_counter()
+        target = matrix_sketch(a, method, sketch_dim, seed=seed)
+        sketch_seconds = time.perf_counter() - t1
+    decomp = replace(matrix_id(target, rank, rank_tol=rank_tol), method=method)
+    return decomp, sketch_seconds, time.perf_counter() - t0
 
 
-def countsketch_id(
-    a, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL, surjective=True
-):
+def countsketch_id(a, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
     """Randomized ID from a CountSketch of the rows of `a`.
 
     The sketch costs one pass over the nonzeros; the ID of the
-    (sketch_dim, cols) sketch then selects the columns. Surjective bucket
-    maps (the default) keep the sketch operator itself full rank. The
+    (sketch_dim, cols) sketch then selects the columns. The bucket map is
+    surjective, which keeps the sketch operator itself full rank. The
     default sketch_dim is rank + 10.
     """
-    return _sketched_id(
-        a, rank, sketch_dim, seed, "countsketch", rank_tol, surjective=surjective
-    )
+    return decompose(a, "countsketch", rank, sketch_dim, seed, rank_tol)[0]
 
 
 def gaussian_id(a, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
     """Randomized ID from a dense Gaussian row sketch of `a`."""
-    return _sketched_id(a, rank, sketch_dim, seed, "gaussian", rank_tol)
+    return decompose(a, "gaussian", rank, sketch_dim, seed, rank_tol)[0]
 
 
 def srft_id(a, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
@@ -192,4 +203,4 @@ def srft_id(a, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
 
     Sparse input is densified in bounded column blocks before the FFT.
     """
-    return _sketched_id(a, rank, sketch_dim, seed, "srft", rank_tol)
+    return decompose(a, "srft", rank, sketch_dim, seed, rank_tol)[0]

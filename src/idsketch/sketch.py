@@ -90,7 +90,8 @@ class CountSketchOp:
 
     @classmethod
     def from_arrays(cls, bucket, sign, out_dim=None):
-        """Build an operator from explicit bucket and sign arrays."""
+        """Build an operator from explicit bucket and sign arrays; every
+        bucket must lie in [0, out_dim)."""
         bucket = np.asarray(bucket, dtype=np.int64)
         sign = np.asarray(sign, dtype=np.float64)
         if bucket.ndim != 1 or bucket.shape != sign.shape:
@@ -100,6 +101,8 @@ class CountSketchOp:
         op = cls.__new__(cls)
         op.in_dim = bucket.size
         op.out_dim = int(bucket.max()) + 1 if out_dim is None else int(out_dim)
+        if ((bucket < 0) | (bucket >= op.out_dim)).any():
+            raise ValueError(f"buckets must lie in [0, {op.out_dim})")
         op.surjective = bool(np.unique(bucket).size == op.out_dim)
         op.bucket = bucket
         op.sign = sign

@@ -1,0 +1,30 @@
+"""Malformed input is rejected where it enters, with the documented error."""
+
+import pytest
+from click.testing import CliRunner
+
+from idsketch.cli import EXIT_ARGUMENT, main
+from idsketch.sketch import CountSketchOp
+
+
+@pytest.mark.parametrize(
+    "bucket, out_dim",
+    [([0, 5, 1], 3), ([0, -1, 1], 3), ([-1, 0, 1], None)],
+)
+def test_countsketch_from_arrays_rejects_out_of_range_buckets(bucket, out_dim):
+    with pytest.raises(ValueError, match="buckets must lie in"):
+        CountSketchOp.from_arrays(bucket, [1.0, -1.0, 1.0], out_dim=out_dim)
+
+
+@pytest.mark.parametrize("method", ["deterministic", "countsketch"])
+def test_cli_nonfinite_matrix_is_an_input_error(tmp_path, method):
+    # bad input, caught while the file is read: exit 2, not the numerical 3
+    mtx = tmp_path / "nan.mtx"
+    mtx.write_text(
+        "%%MatrixMarket matrix coordinate real general\n3 2 2\n1 1 nan\n2 2 1.0\n"
+    )
+    res = CliRunner().invoke(
+        main, ["matrix-id", str(mtx), "--rank", "1", "--method", method]
+    )
+    assert res.exit_code == EXIT_ARGUMENT == 2
+    assert "error: a contains non-finite entries" in res.output
