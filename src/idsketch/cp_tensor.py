@@ -19,17 +19,15 @@ import scipy.sparse as sp
 
 from .linalg import DEFAULT_RANK_TOL, PivotedQr, as_csc, as_dense
 from .matrix_id import (
-    DEFAULT_OVERSAMPLE,
     InterpolativeDecomposition,
     _coeffs_from_pivoted,
+    check_sketch_dim,
     matrix_id,
 )
 from .mmio import read_matrix_market, write_matrix_market
 from .sketch import KrGaussianOp, TensorSketchOp
 
 TENSOR_METHODS = ("gram", "gaussian", "tensorsketch")
-
-_MAX_DENSE_ENTRIES = 50_000_000
 
 
 def _column_norms(factor):
@@ -119,19 +117,6 @@ class CpTensor:
     def select(self, cols, weights):
         """CP tensor built from the given term indices and new weights."""
         return CpTensor(weights, [f[:, cols] for f in self.factors])
-
-    def to_dense(self, max_entries=_MAX_DENSE_ENTRIES):
-        """Materialize the full tensor (testing and small problems only)."""
-        if self.total_entries > max_entries:
-            raise ValueError("tensor too large to densify")
-        out = np.zeros(self.mode_dims)
-        for r in range(self.rank):
-            term = np.array(self.weights[r])
-            for f in self.factors:
-                col = f[:, [r]].toarray().ravel() if sp.issparse(f) else f[:, r]
-                term = np.multiply.outer(term, col)
-            out += term
-        return out
 
 
 def _set_unit_columns(factor, cols):
@@ -270,12 +255,7 @@ def check_tensor_id_args(x, rank, sketch_dim, method):
         raise ValueError(f"rank must be in [1, {x.rank}], got {rank}")
     if method == "gram":
         return None
-    if sketch_dim is None:
-        sketch_dim = rank + DEFAULT_OVERSAMPLE
-    if sketch_dim < rank:
-        raise ValueError(
-            f"sketch dimension {sketch_dim} is below the target rank {rank}"
-        )
+    sketch_dim = check_sketch_dim(rank, sketch_dim)
     if method == "tensorsketch" and sketch_dim >= x.total_entries:
         raise ValueError(
             f"sketch dimension {sketch_dim} must be < {x.total_entries} tensor entries"

@@ -7,6 +7,7 @@ it is overwhelmingly unlikely to fall far below it, which is all a
 benchmark comparison needs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,11 @@ def est_spectral_norm(apply, apply_adjoint, cols, iters=10, probes=2, seed=None)
     """Estimate the spectral norm of the operator pair from below.
 
     Runs `iters` power iterations on the normal operator from `probes`
-    independent Gaussian starts (the iterate is normalized every step) and
-    returns the largest ||B v|| over the final unit iterates.
+    independent Gaussian starts and returns the largest ||B v|| over the
+    final unit iterates. B v is rescaled by a power of two before the
+    adjoint, which keeps the iterates in range up to norms of the float64
+    limit over sqrt(rows). Raises FloatingPointError for a non-finite
+    iterate (inf or NaN from the operator) or norm.
 
     Parameters
     ----------
@@ -54,10 +58,7 @@ def est_spectral_norm(apply, apply_adjoint, cols, iters=10, probes=2, seed=None)
     bty = np.asarray(apply_adjoint(y), dtype=np.float64)
     lhs = float(bx @ y)
     rhs = float(x @ bty)
-    scale = (
-        np.linalg.norm(bx) * np.linalg.norm(y)
-        + np.linalg.norm(x) * np.linalg.norm(bty)
-    )
+    scale = _norm(bx) * _norm(y) + _norm(x) * _norm(bty)
     if abs(lhs - rhs) > _ADJOINT_RTOL * max(scale, 1.0):
         raise ValueError(
             "operator pair failed the adjoint test: "
@@ -67,22 +68,39 @@ def est_spectral_norm(apply, apply_adjoint, cols, iters=10, probes=2, seed=None)
     starts = rng.standard_normal((probes, cols))
     best = 0.0
     for p in range(probes):
-        v = starts[p]
-        norm_v = np.linalg.norm(v)
-        if norm_v == 0.0:
-            continue
-        v = v / norm_v
+        v = _unit(starts[p])
         for _ in range(iters):
             w = np.asarray(apply(v), dtype=np.float64)
-            v = np.asarray(apply_adjoint(w), dtype=np.float64)
-            norm_v = np.linalg.norm(v)
-            if norm_v == 0.0:
-                break
-            v = v / norm_v
-        if np.linalg.norm(v) == 0.0:
-            continue
-        best = max(best, float(np.linalg.norm(apply(v)) / np.linalg.norm(v)))
+            w = np.ldexp(w, -_scale_exponent(w))
+            v = _unit(np.asarray(apply_adjoint(w), dtype=np.float64))
+        best = max(best, _norm(np.asarray(apply(v), dtype=np.float64)))
     return NormEstimate(value=best, iterations=iters, probes=probes)
+
+
+def _scale_exponent(v):
+    """Exponent e with max |v| < 2**e <= 2 max |v| (0 for a zero vector);
+    scaling by 2**-e is exact, so B rounds alike on v and on v * 2**-e.
+    Raises FloatingPointError if `v` is not finite."""
+    peak = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+    if not math.isfinite(peak):
+        raise FloatingPointError("non-finite vector in the spectral-norm estimate")
+    return math.frexp(peak)[1]
+
+
+def _norm(v):
+    """np.linalg.norm(v), taken on `v` scaled by a power of two so that the
+    sum of squares cannot overflow; a norm beyond the float64 range raises
+    FloatingPointError."""
+    e = _scale_exponent(v)
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+    except OverflowError:
+        raise FloatingPointError("norm beyond the float64 range") from None
+
+
+def _unit(v):
+    """`v` scaled to unit norm; a zero vector stays zero."""
+    return v / (_norm(v) or 1.0)
 
 
 def id_residual_operator(a, decomp):

@@ -114,6 +114,18 @@ def matrix_id(a, rank, rank_tol=DEFAULT_RANK_TOL):
     )
 
 
+def check_sketch_dim(rank, sketch_dim):
+    """Sketch dimension for a rank-`rank` sketched ID, defaulted to
+    rank + DEFAULT_OVERSAMPLE; a sketch below the rank is rejected."""
+    if sketch_dim is None:
+        sketch_dim = rank + DEFAULT_OVERSAMPLE
+    if sketch_dim < rank:
+        raise ValueError(
+            f"sketch dimension {sketch_dim} is below the target rank {rank}"
+        )
+    return sketch_dim
+
+
 def check_matrix_id_args(a, rank, sketch_dim, method):
     """Validate the rank/sketch-dimension preconditions of a sketched matrix
     ID; returns the sketch dimension, defaulted to rank + 10.
@@ -127,12 +139,7 @@ def check_matrix_id_args(a, rank, sketch_dim, method):
         raise ValueError(f"rank must be in [1, {limit}], got {rank}")
     if method == "deterministic":
         return None
-    if sketch_dim is None:
-        sketch_dim = rank + DEFAULT_OVERSAMPLE
-    if sketch_dim < rank:
-        raise ValueError(
-            f"sketch dimension {sketch_dim} is below the target rank {rank}"
-        )
+    sketch_dim = check_sketch_dim(rank, sketch_dim)
     if sketch_dim >= rows:
         raise ValueError(
             f"sketch dimension {sketch_dim} must be < {rows} input rows; "

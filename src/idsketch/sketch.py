@@ -9,11 +9,14 @@ materialize itself as a dense matrix, which the test suite uses as the
 oracle for the implicit paths.
 
 Randomness: operators are seeded independently via `numpy.random.SeedSequence`
-children, so per-mode hash maps are mutually independent. Gaussian operators
-use a counter-based Philox stream addressed per input row (see
-`_normal_rows`), which makes it possible to generate only the rows of the
-sketch that multiply nonzero data while still realizing the same operator
-as a full materialization. Hash-based sketches (CountSketch, TensorSketch)
+children, so per-mode hash maps are mutually independent. The Gaussian
+sketch is one operator, `KrGaussianOp`; `GaussianOp` is its single-mode
+case. Its values come from a counter-based Philox stream addressed per
+input row (see `_normal_rows`): the span of rows between the first and the
+last nonzero row of the data is drawn in one raw call, and only the
+nonzero rows are turned into normals and multiplied. The draw therefore
+costs at most as much as the dense per-mode factor, and the sketch equals
+a full materialization. Hash-based sketches (CountSketch, TensorSketch)
 replay identically across platforms for a fixed seed; Gaussian streams are
 guaranteed reproducible per build only.
 
@@ -37,6 +40,23 @@ def _seed_entropy(seed):
     if isinstance(seed, np.random.SeedSequence):
         return seed.entropy
     return int(seed)
+
+
+def _check_factors(factors, nmodes, weights):
+    """Check for one factor per mode, a shared column count and, unless
+    `weights` is None, one weight per column; returns the column weights
+    (ones for None)."""
+    if len(factors) != nmodes:
+        raise ValueError(f"expected {nmodes} factors, got {len(factors)}")
+    ncols = factors[0].shape[-1]
+    if any(factor.shape[-1] != ncols for factor in factors):
+        raise ValueError("factors must share a column count")
+    if weights is None:
+        return np.ones(ncols)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (ncols,):
+        raise ValueError(f"weights must have length {ncols}, got {weights.shape}")
+    return weights
 
 
 def _check_rows(a, in_dim, kind):
@@ -166,27 +186,13 @@ class TensorSketchOp:
         column, the transforms are multiplied elementwise, and the product
         is transformed back.
         """
-        if len(factors) != len(self.mode_ops):
-            raise ValueError(
-                f"expected {len(self.mode_ops)} factors, got {len(factors)}"
-            )
-        ncols = factors[0].shape[1]
+        weights = _check_factors(factors, len(self.mode_ops), weights)
         spectrum = None
         for op, factor in zip(self.mode_ops, factors):
-            if factor.shape[1] != ncols:
-                raise ValueError("factors must share a column count")
             hashed = op.apply(factor)
             transform = _fft.rfft(hashed, axis=0)
             spectrum = transform if spectrum is None else spectrum * transform
-        out = _fft.irfft(spectrum, n=self.out_dim, axis=0)
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (ncols,):
-                raise ValueError(
-                    f"weights must have length {ncols}, got {weights.shape}"
-                )
-            out = out * weights
-        return out
+        return _fft.irfft(spectrum, n=self.out_dim, axis=0) * weights
 
     def composite_bucket(self):
         """Bucket index for every row of the full Khatri-Rao product
@@ -275,8 +281,9 @@ def _normal_rows(key, rows, count):
     Row i always yields the same values for a given key no matter which
     other rows are requested: each row reads a fixed counter range of a
     Philox stream (one fresh 256-bit counter block per row), and the
-    normals come from Box-Muller over a fixed number of uniforms. A single
-    contiguous block of rows is generated in one raw draw.
+    normals come from Box-Muller over a fixed number of uniforms. The span
+    from the lowest to the highest requested row is drawn in one raw call;
+    only the requested rows go through Box-Muller.
     """
     rows = np.asarray(rows, dtype=np.int64)
     npairs = (count + 1) // 2
@@ -284,19 +291,13 @@ def _normal_rows(key, rows, count):
     blocks = -(-per_row // 4)  # Philox yields 4 uint64 per counter block
     if rows.size == 0:
         return np.empty((0, count))
-    contiguous = rows.size == rows[-1] - rows[0] + 1 and bool(
-        np.all(np.diff(rows) == 1)
-    )
-    if contiguous:
-        bg = np.random.Philox(key=key, counter=int(rows[0]) * blocks)
-        raw = bg.random_raw(rows.size * blocks * 4).reshape(rows.size, 4 * blocks)
-        u = (raw >> np.uint64(11)) * (2.0 ** -53)
-        u = u[:, :per_row]
-    else:
-        u = np.empty((rows.size, per_row))
-        for t, i in enumerate(rows):
-            bg = np.random.Philox(key=key, counter=int(i) * blocks)
-            u[t] = np.random.Generator(bg).random(per_row)
+    first = int(rows.min())
+    span = int(rows.max()) - first + 1
+    bg = np.random.Philox(key=key, counter=first * blocks)
+    raw = bg.random_raw(span * blocks * 4).reshape(span, 4 * blocks)
+    bits = raw[rows - first, :per_row]
+    bits >>= np.uint64(11)
+    u = bits * (2.0 ** -53)
     radius = np.sqrt(-2.0 * np.log1p(-u[:, :npairs]))
     angle = (2.0 * np.pi) * u[:, npairs:]
     z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
@@ -309,39 +310,12 @@ def _nonzero_rows(a):
     return np.flatnonzero(np.any(np.asarray(a) != 0.0, axis=1))
 
 
-class GaussianOp:
-    """Dense iid standard normal sketch of shape (out_dim, in_dim),
-    generated lazily from the seed (nothing is stored besides the key)."""
-
-    def __init__(self, in_dim, out_dim, seed=None):
-        if in_dim < 1 or out_dim < 1:
-            raise ValueError("dimensions must be positive")
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
-        self.seed = _seed_entropy(seed)
-        self._key = _philox_key(self.seed, 0)
-
-    def apply(self, a):
-        _check_rows(a, self.in_dim, "Gaussian sketch")
-        omega_cols = _normal_rows(self._key, np.arange(self.in_dim), self.out_dim)
-        out = omega_cols.T @ a
-        if sp.issparse(out):
-            out = out.toarray()
-        return np.asarray(out)
-
-    def materialize(self):
-        if self.in_dim * self.out_dim > _MAX_MATERIALIZE:
-            raise ValueError("operator too large to materialize")
-        return _normal_rows(self._key, np.arange(self.in_dim), self.out_dim).T
-
-
 class KrGaussianOp:
     """Gaussian sketch with Khatri-Rao structure: an independent (I_n, L)
     Gaussian factor per mode, applied to CP factors one mode at a time so
     that neither the sketch matrix nor the Khatri-Rao product is formed.
 
-    A GaussianOp with the same seed realizes the same operator as the
-    single-mode case of this class.
+    GaussianOp is the single-mode case of this class.
     """
 
     def __init__(self, mode_dims, out_dim, seed=None):
@@ -362,18 +336,13 @@ class KrGaussianOp:
     def apply(self, factors, weights=None):
         """Entry (l, r) of the result is weights[r] * prod_n of the inner
         product between column l of the mode-n Gaussian factor and column r
-        of factor n. Gaussian values are generated only for factor rows
-        that carry at least one nonzero."""
-        if len(factors) != len(self.mode_dims):
-            raise ValueError(
-                f"expected {len(self.mode_dims)} factors, got {len(factors)}"
-            )
-        ncols = factors[0].shape[1]
+        of factor n. Per mode, the Philox span from the first to the last
+        nonzero row of the factor is drawn and only the nonzero rows become
+        normals: at most the cost of the dense (I_n, out_dim) factor."""
+        weights = _check_factors(factors, len(self.mode_dims), weights)
         out = None
         for key, dim, factor in zip(self._keys, self.mode_dims, factors):
             _check_rows(factor, dim, "Khatri-Rao Gaussian sketch")
-            if factor.shape[1] != ncols:
-                raise ValueError("factors must share a column count")
             rows = _nonzero_rows(factor)
             omega_rows = _normal_rows(key, rows, self.out_dim)
             if sp.issparse(factor):
@@ -381,17 +350,8 @@ class KrGaussianOp:
             else:
                 sub = np.asarray(factor, dtype=np.float64)[rows]
             term = omega_rows.T @ sub
-            if sp.issparse(term):
-                term = term.toarray()
             out = term if out is None else out * term
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (ncols,):
-                raise ValueError(
-                    f"weights must have length {ncols}, got {weights.shape}"
-                )
-            out = out * weights
-        return out
+        return out * weights
 
     def materialize_factor(self, n):
         """Dense (I_n, out_dim) Gaussian factor for mode n."""
@@ -402,13 +362,21 @@ class KrGaussianOp:
         Khatri-Rao product of the per-mode factors."""
         if self.in_dim * self.out_dim > _MAX_MATERIALIZE:
             raise ValueError("operator too large to materialize")
-        kr = None
+        kr = np.ones((1, self.out_dim))
         for n in range(len(self.mode_dims)):
             factor = self.materialize_factor(n)
-            if kr is None:
-                kr = factor
-            else:
-                kr = (kr[:, None, :] * factor[None, :, :]).reshape(
-                    -1, self.out_dim
-                )
+            kr = (kr[:, None, :] * factor[None, :, :]).reshape(-1, self.out_dim)
         return kr.T
+
+
+class GaussianOp(KrGaussianOp):
+    """Dense iid standard normal sketch of shape (out_dim, in_dim),
+    generated lazily from the seed (nothing is stored besides the key):
+    the single-mode KrGaussianOp, so a sparse input draws normals only for
+    its nonzero rows."""
+
+    def __init__(self, in_dim, out_dim, seed=None):
+        super().__init__([in_dim], out_dim, seed=seed)
+
+    def apply(self, a):
+        return super().apply([a])

@@ -7,7 +7,7 @@ from idsketch.estimators import (
     matrix_operator,
 )
 from idsketch.linalg import svd_values
-from idsketch.matrix_id import countsketch_id
+from idsketch.matrix_id import countsketch_id, matrix_id
 
 
 class TestEstSpectralNorm:
@@ -98,3 +98,22 @@ class TestIdResidualOperator:
         true = np.linalg.norm(a[:, decomp.cols] @ decomp.coeffs - a, 2)
         assert est.value <= true + 1e-10
         assert est.value >= true / 2.0
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300])
+    def test_residual_norm_at_extreme_scale(self, scale):
+        # B'B v leaves the float64 range unless B v is rescaled first; an
+        # overflowed (NaN) or underflowed (zero) iterate used to read 0.0
+        a = np.random.default_rng(0).standard_normal((60, 12)) * scale
+        decomp = matrix_id(a, 4)
+        apply, adjoint = id_residual_operator(a, decomp)
+        est = est_spectral_norm(apply, adjoint, cols=12, seed=0)
+        true = np.linalg.norm(a[:, decomp.cols] @ decomp.coeffs - a, 2)
+        assert abs(est.value - true) <= 1e-2 * true
+
+    def test_non_finite_operator_raises(self):
+        # a NaN iterate used to lose every max() and leave the estimate at 0.0
+        apply, adjoint = matrix_operator(np.full((4, 3), np.inf))
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            est_spectral_norm(apply, adjoint, cols=3, seed=0)

@@ -1,9 +1,12 @@
 """Malformed input is rejected where it enters, with the documented error."""
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from click.testing import CliRunner
 
-from idsketch.cli import EXIT_ARGUMENT, main
+from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, main
+from idsketch.mmio import write_matrix_market
 from idsketch.sketch import CountSketchOp
 
 
@@ -28,3 +31,17 @@ def test_cli_nonfinite_matrix_is_an_input_error(tmp_path, method):
     )
     assert res.exit_code == EXIT_ARGUMENT == 2
     assert "error: a contains non-finite entries" in res.output
+
+
+def test_cli_error_estimate_beyond_float64_range_exits_3(tmp_path):
+    # finite input too close to the float64 limit for the estimator's
+    # iterates: a numerical failure (exit 3), where the estimate read 0.0
+    a = np.random.default_rng(0).standard_normal((60, 12)) * 1e307
+    mtx = tmp_path / "huge.mtx"
+    write_matrix_market(str(mtx), sp.csc_array(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = CliRunner().invoke(
+            main, ["matrix-id", str(mtx), "--rank", "4", "--method", "deterministic"]
+        )
+    assert res.exit_code == EXIT_NUMERICAL == 3
+    assert "numerical failure" in res.output

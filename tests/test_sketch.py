@@ -259,3 +259,43 @@ class TestLinearity:
         b = rng.standard_normal((25, 4))
         op = make()
         assert np.abs(op.apply(a + b) - (op.apply(a) + op.apply(b))).max() <= 1e-12
+
+
+def per_row_normals(key, rows, count):
+    """Reference stream: one Philox generator per row at that row's counter
+    block, uniforms from Generator.random, then Box-Muller."""
+    npairs = (count + 1) // 2
+    per_row = 2 * npairs
+    blocks = -(-per_row // 4)
+    out = np.empty((len(rows), count))
+    for t, i in enumerate(rows):
+        bg = np.random.Philox(key=key, counter=int(i) * blocks)
+        u = np.random.Generator(bg).random(per_row)
+        radius = np.sqrt(-2.0 * np.log1p(-u[:npairs]))
+        angle = (2.0 * np.pi) * u[npairs:]
+        out[t] = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+    return out
+
+
+class TestGaussianStream:
+    @pytest.mark.parametrize(
+        "rows",
+        [[0], [57], [59], [0, 59], [1, 2, 3], [2, 5, 6, 40], [0, 13, 14, 31, 59]],
+    )
+    @pytest.mark.parametrize("count", [1, 4, 7, 9])
+    def test_matches_per_row_generators(self, rows, count):
+        from idsketch.sketch import _normal_rows, _philox_key
+
+        key = _philox_key(321, 2)
+        rows = np.array(rows)
+        assert np.array_equal(
+            _normal_rows(key, rows, count), per_row_normals(key, rows, count)
+        )
+
+    def test_sparse_input_with_zero_rows(self):
+        rng = np.random.default_rng(35)
+        dense = rng.standard_normal((40, 5))
+        dense[[0, 7, 8, 9, 25, 39]] = 0.0  # zero first, last and interior rows
+        a = sp.csc_array(dense)
+        op = GaussianOp(40, 6, seed=36)
+        assert np.abs(op.apply(a) - op.materialize() @ dense).max() <= 1e-12
