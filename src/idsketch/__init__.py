@@ -26,7 +26,6 @@ from .linalg import (
     PivotedQr,
     SingularTriangleError,
     cpqr,
-    matmul,
     svd_values,
     triangular_solve,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "gram_tensor_id",
     "id_residual_operator",
     "load_cp_dir",
-    "matmul",
     "matrix_id",
     "matrix_sketch",
     "read_matrix_market",

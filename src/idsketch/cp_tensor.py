@@ -17,10 +17,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .linalg import DEFAULT_RANK_TOL, PivotedQr, as_csc, as_dense
+from .linalg import as_csc, as_dense
 from .matrix_id import (
     InterpolativeDecomposition,
-    _coeffs_from_pivoted,
+    _id_from_pivoted,
     check_sketch_dim,
     matrix_id,
 )
@@ -189,57 +189,35 @@ def cp_diff_norm(x, y):
 
 
 @dataclass(frozen=True)
-class TensorIdResult:
-    """Rank reduction output: the reduced tensor, the surviving term indices,
-    the coefficient matrix of the underlying matrix ID, and the recombined
-    weights new_weights[k] = weights[cols[k]] * coeffs[k, :].sum()."""
+class TensorIdResult(InterpolativeDecomposition):
+    """Rank reduction output: the column ID of the flattened rank-1 terms,
+    plus the reduced tensor built from the selected terms and the
+    recombined weights new_weights[k] = weights[cols[k]] * coeffs[k, :].sum()."""
 
     reduced: CpTensor
-    cols: np.ndarray
-    coeffs: np.ndarray
     new_weights: np.ndarray
-    method: str
-    numerical_rank: int
-    rank_deficient: bool
 
     def to_dict(self):
         """JSON-ready form; term indices are 0-based."""
-        return {
-            "method": self.method,
-            "k": int(self.cols.size),
-            "j": [int(c) for c in self.cols],
-            "p": self.coeffs.tolist(),
-            "new_svalues": self.new_weights.tolist(),
-            "numerical_rank": int(self.numerical_rank),
-            "rank_deficient": bool(self.rank_deficient),
-        }
+        items = list(super().to_dict().items())
+        # the report lists new_svalues right after p
+        items.insert(4, ("new_svalues", self.new_weights.tolist()))
+        return dict(items)
 
 
 def _assemble(x, decomp):
     new_weights = x.weights[decomp.cols] * decomp.coeffs.sum(axis=1)
-    reduced_weights = new_weights
-    if decomp.rank_deficient:
-        # keep only the numerically independent terms; the rest carry no
-        # trustworthy coefficients and are zeroed out of the reduced tensor
-        reduced_weights = new_weights.copy()
-        reduced_weights[decomp.numerical_rank :] = 0.0
-    reduced = x.select(decomp.cols, reduced_weights)
-    return TensorIdResult(
-        reduced=reduced,
-        cols=decomp.cols,
-        coeffs=decomp.coeffs,
-        new_weights=new_weights,
-        method=decomp.method,
-        numerical_rank=decomp.numerical_rank,
-        rank_deficient=decomp.rank_deficient,
-    )
+    # only the numerically independent terms keep their weight in the reduced
+    # tensor; the rest carry no trustworthy coefficients
+    independent = np.arange(decomp.rank) < decomp.numerical_rank
+    reduced = x.select(decomp.cols, np.where(independent, new_weights, 0.0))
+    return TensorIdResult(**vars(decomp), reduced=reduced, new_weights=new_weights)
 
 
-def tensor_id_from_sketch(x, sketch, rank, method, rank_tol=DEFAULT_RANK_TOL):
+def tensor_id_from_sketch(x, sketch, rank, method):
     """Finish a sketched tensor ID: matrix-ID the sketch, recombine weights,
     and assemble the reduced tensor from the selected terms."""
-    decomp = matrix_id(sketch, rank, rank_tol=rank_tol)
-    return _assemble(x, replace(decomp, method=method))
+    return _assemble(x, replace(matrix_id(sketch, rank), method=method))
 
 
 def check_tensor_id_args(x, rank, sketch_dim, method):
@@ -263,7 +241,7 @@ def check_tensor_id_args(x, rank, sketch_dim, method):
     return sketch_dim
 
 
-def decompose(x, method, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
+def decompose(x, method, rank, sketch_dim=None, seed=None):
     """Rank reduction of `x` by any of TENSOR_METHODS, timed.
 
     Returns (result, sketch_seconds, wall_seconds). For the gram method the
@@ -281,29 +259,29 @@ def decompose(x, method, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK
         sketch = op.apply(x.factors, x.weights)
     sketch_seconds = time.perf_counter() - t1
     if method == "gram":
-        result = gram_tensor_id(x, rank, gram=sketch, rank_tol=rank_tol)
+        result = gram_tensor_id(x, rank, gram=sketch)
     else:
-        result = tensor_id_from_sketch(x, sketch, rank, method, rank_tol=rank_tol)
+        result = tensor_id_from_sketch(x, sketch, rank, method)
     return result, sketch_seconds, time.perf_counter() - t0
 
 
-def tensorsketch_id(x, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
+def tensorsketch_id(x, rank, sketch_dim=None, seed=None):
     """Rank reduction via a TensorSketch of the flattened rank-1 terms.
 
     Costs O(N (nnz + R L log L) + L^2 R) for an N-mode rank-R input with
     sketch dimension L (default rank + 10); L must stay below the number of
     tensor entries.
     """
-    return decompose(x, "tensorsketch", rank, sketch_dim, seed, rank_tol)[0]
+    return decompose(x, "tensorsketch", rank, sketch_dim, seed)[0]
 
 
-def gaussian_tensor_id(x, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
+def gaussian_tensor_id(x, rank, sketch_dim=None, seed=None):
     """Rank reduction via the Khatri-Rao structured Gaussian sketch,
     accumulated one mode at a time."""
-    return decompose(x, "gaussian", rank, sketch_dim, seed, rank_tol)[0]
+    return decompose(x, "gaussian", rank, sketch_dim, seed)[0]
 
 
-def gram_tensor_id(x, rank, gram=None, rank_tol=DEFAULT_RANK_TOL):
+def gram_tensor_id(x, rank, gram=None):
     """Deterministic rank reduction through the R-by-R Gram matrix.
 
     Pivots on the Gram matrix and derives the coefficients from an
@@ -315,27 +293,11 @@ def gram_tensor_id(x, rank, gram=None, rank_tol=DEFAULT_RANK_TOL):
     check_tensor_id_args(x, rank, None, "gram")
     g = gram_hadamard(x) if gram is None else np.asarray(gram, dtype=np.float64)
     _, _, perm = scipy.linalg.qr(g, mode="economic", pivoting=True)
-    cols = perm[:rank].copy()
     # coefficients from the unpivoted QR of the selected Gram rows, with the
     # columns in pivot order so the leading block is the selected one
-    b = g[:, cols].T[:, perm]
+    b = g[:, perm[:rank]].T[:, perm]
     rt = scipy.linalg.qr(b, mode="economic")[1][:rank, :]
-    diag = np.abs(np.diag(rt))
-    lead = diag[0]
-    numerical_rank = 0 if lead == 0.0 else int(np.count_nonzero(diag > rank_tol * lead))
-    pivoted = PivotedQr(
-        q=np.empty((0, 0)), r=rt, perm=perm, numerical_rank=numerical_rank
-    )
-    coeffs, deficient = _coeffs_from_pivoted(pivoted, rank, rank_tol)
-    decomp = InterpolativeDecomposition(
-        coeffs=coeffs,
-        cols=cols,
-        rank=rank,
-        method="gram",
-        numerical_rank=numerical_rank,
-        rank_deficient=deficient,
-    )
-    return _assemble(x, decomp)
+    return _assemble(x, _id_from_pivoted(rt, perm, "gram"))
 
 
 def save_cp_dir(path, x):
@@ -360,6 +322,10 @@ def load_cp_dir(path):
     re-normalized on load."""
     path = Path(path)
     meta = json.loads((path / "meta.json").read_text())
+    if not isinstance(meta, dict) or not {"n_modes", "rank", "mode_dims"} <= meta.keys():
+        raise ValueError(f"meta.json in {path} must hold n_modes, rank and mode_dims")
+    if not isinstance(meta["n_modes"], int):
+        raise ValueError(f"n_modes in {path}/meta.json must be an integer")
     weights = np.array(
         [float(line) for line in (path / "svalues.txt").read_text().split()]
     )
@@ -368,6 +334,6 @@ def load_cp_dir(path):
         for n in range(1, meta["n_modes"] + 1)
     ]
     x = CpTensor(weights, factors)
-    if x.rank != meta["rank"] or list(x.mode_dims) != list(meta["mode_dims"]):
+    if x.rank != meta["rank"] or list(x.mode_dims) != meta["mode_dims"]:
         raise ValueError(f"CP directory {path} is inconsistent with its meta.json")
     return x

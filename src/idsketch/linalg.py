@@ -93,34 +93,22 @@ def cpqr(a, rank, rank_tol=DEFAULT_RANK_TOL):
     q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
     q = np.ascontiguousarray(q[:, :rank])
     r = np.ascontiguousarray(r[:rank, :])
+    numerical_rank = count_numerical_rank(r, rank_tol)
+    return PivotedQr(q=q, r=r, perm=perm, numerical_rank=numerical_rank)
+
+
+def count_numerical_rank(r, rank_tol=DEFAULT_RANK_TOL):
+    """Number of diagonal entries of the pivoted triangle `r` above
+    rank_tol * |r[0, 0]|; 0 when r[0, 0] is zero."""
     diag = np.abs(np.diag(r))
     lead = diag[0]
-    numerical_rank = 0 if lead == 0.0 else int(np.count_nonzero(diag > rank_tol * lead))
-    return PivotedQr(q=q, r=r, perm=perm, numerical_rank=numerical_rank)
+    return 0 if lead == 0.0 else int(np.count_nonzero(diag > rank_tol * lead))
 
 
 def svd_values(a):
     """Full singular spectrum of a dense matrix, nonincreasing."""
     a = as_dense(a)
     return np.linalg.svd(a, compute_uv=False)
-
-
-def matmul(a, b):
-    """Matrix product with dimension checking; dense output unless both sparse.
-
-    Handles the sparse-times-dense case with a single pass over the stored
-    nonzeros (scipy kernels); plain dense GEMM otherwise.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul requires 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"inner dimensions disagree: {a.shape} @ {b.shape}"
-        )
-    out = a @ b
-    if sp.issparse(out) and not sp.issparse(b):
-        out = out.toarray()
-    return out
 
 
 def triangular_solve(r, b, lower=False):

@@ -14,7 +14,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import DEFAULT_RANK_TOL, as_csc, as_dense, cpqr, triangular_solve
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    as_csc,
+    as_dense,
+    count_numerical_rank,
+    cpqr,
+    triangular_solve,
+)
 from .sketch import CountSketchOp, GaussianOp, SrftOp
 
 MATRIX_METHODS = ("deterministic", "gaussian", "srft", "countsketch")
@@ -54,38 +61,46 @@ class InterpolativeDecomposition:
         }
 
 
-def _coeffs_from_pivoted(factored, rank, rank_tol):
-    """Coefficient matrix from a rank-`rank` pivoted QR of the target.
+def _id_from_pivoted(r, perm, method):
+    """Column ID from a pivoted triangle: `r` is (rank, cols) upper
+    trapezoidal and `perm` the column permutation with the selected pivots
+    first.
 
-    Diagonal entries of the leading triangle below rank_tol * |r00| are
-    floored to that value before the solve, so numerically rank-deficient
-    inputs produce a usable (flagged) decomposition instead of failing.
+    Diagonal entries of the leading triangle below DEFAULT_RANK_TOL * |r00|
+    are floored to that value before the solve, so numerically
+    rank-deficient inputs produce a usable (flagged) decomposition instead
+    of failing.
     """
-    r = factored.r
-    perm = factored.perm
-    ncols = perm.size
-    r11 = r[:rank, :rank]
-    r12 = r[:rank, rank:]
-    deficient = factored.numerical_rank < rank
+    rank = r.shape[0]
+    numerical_rank = count_numerical_rank(r)
+    deficient = numerical_rank < rank
+    r11 = r[:, :rank]
     lead = abs(r11[0, 0])
     if lead == 0.0:
         # zero input: any column set works, coefficients carry no information
-        t = np.zeros((rank, ncols - rank))
+        t = np.zeros((rank, perm.size - rank))
     else:
         if deficient:
             r11 = r11.copy()
-            floor = rank_tol * lead
+            floor = DEFAULT_RANK_TOL * lead
             d = np.diag(r11)
             small = np.flatnonzero(np.abs(d) < floor)
             r11[small, small] = np.where(d[small] < 0.0, -floor, floor)
-        t = triangular_solve(r11, r12) if ncols > rank else np.zeros((rank, 0))
-    coeffs = np.zeros((rank, ncols))
+        t = triangular_solve(r11, r[:, rank:])
+    coeffs = np.zeros((rank, perm.size))
     coeffs[np.arange(rank), perm[:rank]] = 1.0
     coeffs[:, perm[rank:]] = t
-    return coeffs, deficient
+    return InterpolativeDecomposition(
+        coeffs=coeffs,
+        cols=perm[:rank].copy(),
+        rank=rank,
+        method=method,
+        numerical_rank=numerical_rank,
+        rank_deficient=deficient,
+    )
 
 
-def matrix_id(a, rank, rank_tol=DEFAULT_RANK_TOL):
+def matrix_id(a, rank):
     """Deterministic rank-`rank` ID of a dense matrix via column-pivoted QR.
 
     Parameters
@@ -101,17 +116,8 @@ def matrix_id(a, rank, rank_tol=DEFAULT_RANK_TOL):
         With `cols` the first `rank` QR pivots and the identity submatrix
         invariant holding exactly by construction.
     """
-    a = as_dense(a)
-    factored = cpqr(a, rank, rank_tol=rank_tol)
-    coeffs, deficient = _coeffs_from_pivoted(factored, rank, rank_tol)
-    return InterpolativeDecomposition(
-        coeffs=coeffs,
-        cols=factored.perm[:rank].copy(),
-        rank=rank,
-        method="deterministic",
-        numerical_rank=factored.numerical_rank,
-        rank_deficient=deficient,
-    )
+    factored = cpqr(a, rank)
+    return _id_from_pivoted(factored.r, factored.perm, "deterministic")
 
 
 def check_sketch_dim(rank, sketch_dim):
@@ -166,7 +172,7 @@ def matrix_sketch(a, method, sketch_dim, seed=None):
     return op.apply(a)
 
 
-def decompose(a, method, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
+def decompose(a, method, rank, sketch_dim=None, seed=None):
     """Rank-`rank` ID of `a` by any of MATRIX_METHODS, timed.
 
     Returns (decomposition, sketch_seconds, wall_seconds). The sketch time
@@ -185,11 +191,11 @@ def decompose(a, method, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK
         t1 = time.perf_counter()
         target = matrix_sketch(a, method, sketch_dim, seed=seed)
         sketch_seconds = time.perf_counter() - t1
-    decomp = replace(matrix_id(target, rank, rank_tol=rank_tol), method=method)
+    decomp = replace(matrix_id(target, rank), method=method)
     return decomp, sketch_seconds, time.perf_counter() - t0
 
 
-def countsketch_id(a, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
+def countsketch_id(a, rank, sketch_dim=None, seed=None):
     """Randomized ID from a CountSketch of the rows of `a`.
 
     The sketch costs one pass over the nonzeros; the ID of the
@@ -197,17 +203,17 @@ def countsketch_id(a, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TO
     surjective, which keeps the sketch operator itself full rank. The
     default sketch_dim is rank + 10.
     """
-    return decompose(a, "countsketch", rank, sketch_dim, seed, rank_tol)[0]
+    return decompose(a, "countsketch", rank, sketch_dim, seed)[0]
 
 
-def gaussian_id(a, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
+def gaussian_id(a, rank, sketch_dim=None, seed=None):
     """Randomized ID from a dense Gaussian row sketch of `a`."""
-    return decompose(a, "gaussian", rank, sketch_dim, seed, rank_tol)[0]
+    return decompose(a, "gaussian", rank, sketch_dim, seed)[0]
 
 
-def srft_id(a, rank, sketch_dim=None, seed=None, rank_tol=DEFAULT_RANK_TOL):
+def srft_id(a, rank, sketch_dim=None, seed=None):
     """Randomized ID from a subsampled randomized Fourier sketch of `a`.
 
     Sparse input is densified in bounded column blocks before the FFT.
     """
-    return decompose(a, "srft", rank, sketch_dim, seed, rank_tol)[0]
+    return decompose(a, "srft", rank, sketch_dim, seed)[0]

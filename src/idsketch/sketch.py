@@ -306,7 +306,8 @@ def _normal_rows(key, rows, count):
 
 def _nonzero_rows(a):
     if sp.issparse(a):
-        return np.unique(sp.csc_array(a).indices)
+        counts = np.bincount(sp.csc_array(a).indices, minlength=a.shape[0])
+        return np.flatnonzero(counts)
     return np.flatnonzero(np.any(np.asarray(a) != 0.0, axis=1))
 
 

@@ -214,13 +214,32 @@ class TestTensorIds:
 
     def test_degenerate_sketch_pads_with_zero_weights(self):
         # duplicated terms with equal weight: the sketch has rank 1 but we
-        # ask for 2, so the reduction is flagged and padded
+        # ask for 2, so the reduction is flagged and padded; the sketched
+        # and the Gram paths finish through the same step
         base = np.array([[0.6], [0.8]])
         x = CpTensor([1.0, 1.0], [np.hstack([base, base])] * 2)
-        result = gaussian_tensor_id(x, 2, sketch_dim=3, seed=5)
+        for result in (
+            gaussian_tensor_id(x, 2, sketch_dim=3, seed=5),
+            tensorsketch_id(x, 2, sketch_dim=3, seed=5),
+            gram_tensor_id(x, 2),
+        ):
+            assert result.rank_deficient, result.method
+            assert result.numerical_rank == 1, result.method
+            assert np.all(result.reduced.weights[result.numerical_rank :] == 0.0)
+
+    @pytest.mark.parametrize(
+        "method", [tensorsketch_id, gaussian_tensor_id, gram_tensor_id]
+    )
+    def test_zero_weight_tensor(self, method):
+        rng = np.random.default_rng(19)
+        x = CpTensor(np.zeros(6), [rng.standard_normal((5, 6))] * 3)
+        kwargs = {} if method is gram_tensor_id else {"sketch_dim": 4, "seed": 6}
+        result = method(x, 3, **kwargs)
         assert result.rank_deficient
-        assert result.numerical_rank == 1
-        assert np.all(result.reduced.weights[result.numerical_rank :] == 0.0)
+        assert result.numerical_rank == 0
+        assert np.array_equal(result.coeffs[:, result.cols], np.eye(3))
+        assert np.all(result.reduced.weights == 0.0)
+        assert cp_diff_norm(x, result.reduced) == 0.0
 
     def test_parameter_validation(self):
         rng = np.random.default_rng(16)

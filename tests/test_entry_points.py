@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import idsketch
 from idsketch import (
     countsketch_id,
     gaussian_id,
@@ -109,3 +110,8 @@ def test_tensor_id_keys(cp_path):
     payload = cli_payload("tensor-id", str(cp_path))
     assert list(payload["id"]) == TENSOR_ID_KEYS
     assert payload["id"]["k"] == RANK
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in idsketch.__all__ if not hasattr(idsketch, name)]
+    assert missing == []

@@ -1,11 +1,14 @@
 """Malformed input is rejected where it enters, with the documented error."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
 
 from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, main
+from idsketch.cp_tensor import CpTensor, load_cp_dir, save_cp_dir
 from idsketch.mmio import write_matrix_market
 from idsketch.sketch import CountSketchOp
 
@@ -45,3 +48,26 @@ def test_cli_error_estimate_beyond_float64_range_exits_3(tmp_path):
         )
     assert res.exit_code == EXIT_NUMERICAL == 3
     assert "numerical failure" in res.output
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"rank": 2, "mode_dims": [3, 4]},
+        {"n_modes": 2, "mode_dims": [3, 4]},
+        {"n_modes": 2, "rank": 2},
+        {"n_modes": "2", "rank": 2, "mode_dims": [3, 4]},
+        {"n_modes": 2.5, "rank": 2, "mode_dims": [3, 4]},
+        [2, 2, [3, 4]],
+    ],
+    ids=["no-n_modes", "no-rank", "no-mode_dims", "str-n_modes", "float-n_modes", "list"],
+)
+def test_malformed_cp_meta_is_an_input_error(tmp_path, meta):
+    rng = np.random.default_rng(0)
+    save_cp_dir(tmp_path, CpTensor([1.0, 2.0], [rng.random((3, 2)), rng.random((4, 2))]))
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="meta.json"):
+        load_cp_dir(tmp_path)
+    res = CliRunner().invoke(main, ["tensor-id", str(tmp_path), "--rank", "1"])
+    assert res.exit_code == EXIT_ARGUMENT == 2
+    assert "error: " in res.output

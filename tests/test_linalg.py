@@ -7,7 +7,6 @@ from idsketch.linalg import (
     as_csc,
     as_dense,
     cpqr,
-    matmul,
     svd_values,
     triangular_solve,
 )
@@ -91,34 +90,6 @@ class TestSvdValues:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             svd_values(np.array([[1.0, np.nan]]))
-
-
-class TestMatmul:
-    def test_sparse_identity(self):
-        b = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(matmul(sp.eye_array(4, format="csc"), b), b)
-
-    def test_one_by_one(self):
-        assert matmul(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
-
-    def test_sparse_vs_densified(self):
-        rng = np.random.default_rng(3)
-        a = sp.random_array((30, 20), density=0.1, rng=rng, format="csc")
-        b = rng.standard_normal((20, 5))
-        assert np.abs(matmul(a, b) - a.toarray() @ b).max() <= 1e-12
-
-    def test_exact_integer_agreement(self):
-        # small integers: float arithmetic is exact, so sparse and dense
-        # products must agree bit for bit
-        rng = np.random.default_rng(4)
-        dense = rng.integers(-5, 6, size=(25, 18)).astype(np.float64)
-        dense[rng.random((25, 18)) < 0.7] = 0.0
-        b = rng.integers(-5, 6, size=(18, 4)).astype(np.float64)
-        assert np.array_equal(matmul(sp.csc_array(dense), b), dense @ b)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(3), np.eye(4))
 
 
 class TestTriangularSolve:

@@ -65,10 +65,17 @@ class TestDeterministic:
         assert relerr_fro(d.reconstruct(a), a) <= 1e-8
 
     def test_zero_matrix(self):
-        d = matrix_id(np.zeros((5, 4)), 2)
-        assert d.rank_deficient
-        assert d.numerical_rank == 0
-        assert np.array_equal(d.coeffs[:, d.cols], np.eye(2))
+        # every matrix method finishes through the same step as matrix_id
+        a = np.zeros((5, 4))
+        for d in (
+            matrix_id(a, 2),
+            countsketch_id(a, 2, 3, seed=0),
+            gaussian_id(a, 2, 3, seed=0),
+            srft_id(a, 2, 3, seed=0),
+        ):
+            assert d.rank_deficient, d.method
+            assert d.numerical_rank == 0, d.method
+            assert np.array_equal(d.coeffs[:, d.cols], np.eye(2))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
