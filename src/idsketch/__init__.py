@@ -23,7 +23,6 @@ from .cp_tensor import (
 from .estimators import NormEstimate, est_spectral_norm, id_residual_operator
 from .generators import gen_synthetic_matrix, gen_synthetic_tensor
 from .linalg import (
-    PivotedQr,
     SingularTriangleError,
     cpqr,
     svd_values,
@@ -51,7 +50,6 @@ __all__ = [
     "InterpolativeDecomposition",
     "KrGaussianOp",
     "NormEstimate",
-    "PivotedQr",
     "SingularTriangleError",
     "SrftOp",
     "TensorIdResult",

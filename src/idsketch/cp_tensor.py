@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .linalg import as_csc, as_dense
+from .linalg import as_csc, as_dense, cpqr
 from .matrix_id import (
     InterpolativeDecomposition,
     _id_from_pivoted,
@@ -207,10 +207,7 @@ class TensorIdResult(InterpolativeDecomposition):
 
 def _assemble(x, decomp):
     new_weights = x.weights[decomp.cols] * decomp.coeffs.sum(axis=1)
-    # only the numerically independent terms keep their weight in the reduced
-    # tensor; the rest carry no trustworthy coefficients
-    independent = np.arange(decomp.rank) < decomp.numerical_rank
-    reduced = x.select(decomp.cols, np.where(independent, new_weights, 0.0))
+    reduced = x.select(decomp.cols, new_weights)
     return TensorIdResult(**vars(decomp), reduced=reduced, new_weights=new_weights)
 
 
@@ -284,19 +281,19 @@ def gaussian_tensor_id(x, rank, sketch_dim=None, seed=None):
 def gram_tensor_id(x, rank, gram=None):
     """Deterministic rank reduction through the R-by-R Gram matrix.
 
-    Pivots on the Gram matrix and derives the coefficients from an
-    unpivoted economy QR of the selected rows, per the symmetric-ID
-    construction. Cheap (no sketch) but the Gram matrix squares the
-    conditioning of the underlying problem, so very small residuals are
-    limited to about the square root of machine precision.
+    Pivots on the Gram matrix through `cpqr` and derives the coefficients
+    from the triangle of an unpivoted QR of the selected rows, per the
+    symmetric-ID construction. Cheap (no sketch) but the Gram matrix
+    squares the conditioning of the underlying problem, so very small
+    residuals are limited to about the square root of machine precision.
     """
     check_tensor_id_args(x, rank, None, "gram")
     g = gram_hadamard(x) if gram is None else np.asarray(gram, dtype=np.float64)
-    _, _, perm = scipy.linalg.qr(g, mode="economic", pivoting=True)
+    perm = cpqr(g, rank)[1]
     # coefficients from the unpivoted QR of the selected Gram rows, with the
     # columns in pivot order so the leading block is the selected one
     b = g[:, perm[:rank]].T[:, perm]
-    rt = scipy.linalg.qr(b, mode="economic")[1][:rank, :]
+    rt = scipy.linalg.qr(b, mode="r")[0]
     return _assemble(x, _id_from_pivoted(rt, perm, "gram"))
 
 

@@ -106,21 +106,22 @@ def _unit(v):
 def id_residual_operator(a, decomp):
     """Operator pair for the ID residual x -> A[:, cols] (coeffs @ x) - A x.
 
-    The residual matrix is never formed; both directions cost one pass over
-    the nonzeros of `a` plus small dense products.
+    The residual is A (E coeffs - I), where E places the k entries of
+    coeffs @ x on the selected columns. It is never formed: each direction
+    costs one product with `a` plus small dense ones.
     """
-    selected = a[:, decomp.cols]
+    cols = decomp.cols
     coeffs = decomp.coeffs
     a_t = a.T
-    sel_t = selected.T
 
     def apply(x):
-        out = selected @ (coeffs @ x) - a @ x
-        return np.asarray(out).ravel()
+        z = -x
+        z[cols] += coeffs @ x
+        return np.asarray(a @ z).ravel()
 
     def apply_adjoint(y):
-        out = coeffs.T @ (sel_t @ y) - a_t @ y
-        return np.asarray(out).ravel()
+        u = np.asarray(a_t @ y).ravel()
+        return coeffs.T @ u[cols] - u
 
     return apply, apply_adjoint
 

@@ -6,13 +6,9 @@ The validators below are the entry points that enforce the container
 invariants (finite entries, sorted indices, no stored zeros).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-
-DEFAULT_RANK_TOL = 1e-12
 
 
 class SingularTriangleError(np.linalg.LinAlgError):
@@ -53,28 +49,14 @@ def as_csc(a, name="a"):
     return out
 
 
-@dataclass(frozen=True)
-class PivotedQr:
-    """Rank-`k` partial column-pivoted QR factorization.
-
-    q: (rows, k) with orthonormal columns; r: (k, cols) upper trapezoidal
-    with |diagonal| nonincreasing; perm: full column permutation with the
-    k selected pivots first; numerical_rank: number of leading diagonal
-    entries of r above the relative rank tolerance.
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-    perm: np.ndarray
-    numerical_rank: int
-
-
-def cpqr(a, rank, rank_tol=DEFAULT_RANK_TOL):
+def cpqr(a, rank):
     """Column-pivoted Householder QR, truncated to the leading `rank` pivots.
 
+    Returns (r, perm): `r` is the (rank, cols) upper trapezoidal factor and
+    `perm` the full column permutation with the selected pivots first.
     Pivoting always selects the remaining column of largest norm (ties go to
     the lowest column index), so the diagonal of `r` is nonincreasing in
-    absolute value and `q @ r` reproduces `a[:, perm]` up to truncation.
+    absolute value. Q is never formed; an ID reads only `r` and `perm`.
 
     Parameters
     ----------
@@ -82,27 +64,16 @@ def cpqr(a, rank, rank_tol=DEFAULT_RANK_TOL):
         Dense (rows, cols) matrix.
     rank : int
         Target rank, 1 <= rank <= min(rows, cols).
-    rank_tol : float
-        Relative tolerance: diagonal entries of `r` with absolute value
-        <= rank_tol * |r[0, 0]| do not count towards `numerical_rank`.
     """
     a = as_dense(a)
     rows, cols = a.shape
     if not 1 <= rank <= min(rows, cols):
         raise ValueError(f"rank must be in [1, {min(rows, cols)}], got {rank}")
-    q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    q = np.ascontiguousarray(q[:, :rank])
-    r = np.ascontiguousarray(r[:rank, :])
-    numerical_rank = count_numerical_rank(r, rank_tol)
-    return PivotedQr(q=q, r=r, perm=perm, numerical_rank=numerical_rank)
-
-
-def count_numerical_rank(r, rank_tol=DEFAULT_RANK_TOL):
-    """Number of diagonal entries of the pivoted triangle `r` above
-    rank_tol * |r[0, 0]|; 0 when r[0, 0] is zero."""
-    diag = np.abs(np.diag(r))
-    lead = diag[0]
-    return 0 if lead == 0.0 else int(np.count_nonzero(diag > rank_tol * lead))
+    # "raw" returns the Householder vectors as they are plus the
+    # (min(rows, cols), cols) triangle; mode="r" would copy a full
+    # (rows, cols) triangle out of a tall input
+    _, r, perm = scipy.linalg.qr(a, mode="raw", pivoting=True)
+    return np.ascontiguousarray(r[:rank, :]), perm
 
 
 def svd_values(a):
@@ -111,8 +82,8 @@ def svd_values(a):
     return np.linalg.svd(a, compute_uv=False)
 
 
-def triangular_solve(r, b, lower=False):
-    """Solve r @ x = b for a nonsingular triangular `r`.
+def triangular_solve(r, b):
+    """Solve r @ x = b for a nonsingular upper triangular `r`.
 
     Raises SingularTriangleError naming the first zero diagonal index.
     """
@@ -128,4 +99,4 @@ def triangular_solve(r, b, lower=False):
         raise SingularTriangleError(f"zero diagonal entry at index {idx}")
     if b.size == 0:
         return np.zeros_like(b)
-    return scipy.linalg.solve_triangular(r, b, lower=lower)
+    return scipy.linalg.solve_triangular(r, b)

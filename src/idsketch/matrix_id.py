@@ -14,18 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    as_csc,
-    as_dense,
-    count_numerical_rank,
-    cpqr,
-    triangular_solve,
-)
+from .linalg import as_csc, as_dense, cpqr, triangular_solve
 from .sketch import CountSketchOp, GaussianOp, SrftOp
 
 MATRIX_METHODS = ("deterministic", "gaussian", "srft", "countsketch")
 DEFAULT_OVERSAMPLE = 10
+DEFAULT_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,26 +60,26 @@ def _id_from_pivoted(r, perm, method):
     trapezoidal and `perm` the column permutation with the selected pivots
     first.
 
-    Diagonal entries of the leading triangle below DEFAULT_RANK_TOL * |r00|
-    are floored to that value before the solve, so numerically
-    rank-deficient inputs produce a usable (flagged) decomposition instead
-    of failing.
+    The numerical rank counts the diagonal entries of `r` above
+    DEFAULT_RANK_TOL * |r00| (0 for a zero triangle). Diagonal entries of
+    the leading triangle below that floor are raised to it before the
+    solve, so numerically rank-deficient inputs produce a usable (flagged)
+    decomposition instead of failing.
     """
     rank = r.shape[0]
-    numerical_rank = count_numerical_rank(r)
+    diag = np.abs(np.diag(r))
+    floor = DEFAULT_RANK_TOL * diag[0]
+    numerical_rank = int(np.count_nonzero(diag > floor))
     deficient = numerical_rank < rank
-    r11 = r[:, :rank]
-    lead = abs(r11[0, 0])
-    if lead == 0.0:
+    if diag[0] == 0.0:
         # zero input: any column set works, coefficients carry no information
         t = np.zeros((rank, perm.size - rank))
     else:
+        r11 = r[:, :rank]
         if deficient:
             r11 = r11.copy()
-            floor = DEFAULT_RANK_TOL * lead
-            d = np.diag(r11)
-            small = np.flatnonzero(np.abs(d) < floor)
-            r11[small, small] = np.where(d[small] < 0.0, -floor, floor)
+            small = np.flatnonzero(diag < floor)
+            r11[small, small] = np.where(r11[small, small] < 0.0, -floor, floor)
         t = triangular_solve(r11, r[:, rank:])
     coeffs = np.zeros((rank, perm.size))
     coeffs[np.arange(rank), perm[:rank]] = 1.0
@@ -116,8 +110,7 @@ def matrix_id(a, rank):
         With `cols` the first `rank` QR pivots and the identity submatrix
         invariant holding exactly by construction.
     """
-    factored = cpqr(a, rank)
-    return _id_from_pivoted(factored.r, factored.perm, "deterministic")
+    return _id_from_pivoted(*cpqr(a, rank), "deterministic")
 
 
 def check_sketch_dim(rank, sketch_dim):

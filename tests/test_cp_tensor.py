@@ -212,10 +212,11 @@ class TestTensorIds:
                 want = densify(orig_f)[:, col] != 0
                 assert np.array_equal(got, want)
 
-    def test_degenerate_sketch_pads_with_zero_weights(self):
+    def test_degenerate_sketch_keeps_mass(self):
         # duplicated terms with equal weight: the sketch has rank 1 but we
-        # ask for 2, so the reduction is flagged and padded; the sketched
-        # and the Gram paths finish through the same step
+        # ask for 2, so the reduction is flagged, and the selected terms keep
+        # their recombined weights; the sketched and the Gram paths finish
+        # through the same step
         base = np.array([[0.6], [0.8]])
         x = CpTensor([1.0, 1.0], [np.hstack([base, base])] * 2)
         for result in (
@@ -225,7 +226,24 @@ class TestTensorIds:
         ):
             assert result.rank_deficient, result.method
             assert result.numerical_rank == 1, result.method
-            assert np.all(result.reduced.weights[result.numerical_rank :] == 0.0)
+            assert cp_diff_norm(x, result.reduced) <= 1e-6 * cp_norm(x), result.method
+
+    @pytest.mark.parametrize("terms, copies, rank", [(3, 3, 6), (4, 5, 8), (4, 5, 12)])
+    @pytest.mark.parametrize(
+        "method", [tensorsketch_id, gaussian_tensor_id, gram_tensor_id]
+    )
+    def test_repeated_terms_keep_mass(self, terms, copies, rank, method):
+        # orthonormal terms, each repeated: the numerical rank is `terms`,
+        # below the requested rank, and a selected term beyond the numerical
+        # rank still carries its own mass; zeroing its weight lost 20-42%
+        # of the norm
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((10, terms)))[0]
+        x = CpTensor(np.ones(terms * copies), [np.tile(q, copies)] * 3)
+        kwargs = {} if method is gram_tensor_id else {"sketch_dim": rank + 2, "seed": 1}
+        result = method(x, rank, **kwargs)
+        assert result.rank_deficient
+        assert result.numerical_rank == terms
+        assert cp_diff_norm(x, result.reduced) <= 1e-7 * cp_norm(x)
 
     @pytest.mark.parametrize(
         "method", [tensorsketch_id, gaussian_tensor_id, gram_tensor_id]

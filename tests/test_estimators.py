@@ -79,14 +79,16 @@ class TestIdResidualOperator:
         import scipy.sparse as sp
 
         rng = np.random.default_rng(6)
-        a = sp.random_array((60, 25), density=0.2, rng=rng, format="csc")
-        decomp = countsketch_id(a, 8, seed=3)
-        apply, adjoint = id_residual_operator(a, decomp)
-        residual = a.toarray()[:, decomp.cols] @ decomp.coeffs - a.toarray()
-        x = rng.standard_normal(25)
-        y = rng.standard_normal(60)
-        assert np.abs(apply(x) - residual @ x).max() <= 1e-10
-        assert np.abs(adjoint(y) - residual.T @ y).max() <= 1e-10
+        sparse = sp.random_array((60, 25), density=0.2, rng=rng, format="csc")
+        dense = sparse.toarray()
+        for a in (sparse, dense):
+            decomp = countsketch_id(a, 8, seed=3)
+            apply, adjoint = id_residual_operator(a, decomp)
+            residual = dense[:, decomp.cols] @ decomp.coeffs - dense
+            x = rng.standard_normal(25)
+            y = rng.standard_normal(60)
+            assert np.abs(apply(x) - residual @ x).max() <= 1e-10
+            assert np.abs(adjoint(y) - residual.T @ y).max() <= 1e-10
 
     def test_estimates_residual_norm(self):
         rng = np.random.default_rng(7)

@@ -10,35 +10,37 @@ from idsketch.linalg import (
     svd_values,
     triangular_solve,
 )
+from idsketch.matrix_id import matrix_id
 from idsketch.mmio import read_matrix_market, write_matrix_market
 
 
 class TestCpqr:
     def test_identity(self):
-        f = cpqr(np.eye(3), 3)
-        assert np.allclose(np.abs(np.diag(f.r)), 1.0, atol=1e-14)
-        assert np.allclose(np.abs(f.r), np.eye(3), atol=1e-14)
-        assert f.numerical_rank == 3
+        r, perm = cpqr(np.eye(3), 3)
+        assert np.allclose(np.abs(np.diag(r)), 1.0, atol=1e-14)
+        assert np.allclose(np.abs(r), np.eye(3), atol=1e-14)
+        assert matrix_id(np.eye(3), 3).numerical_rank == 3
 
     def test_hand_pivot(self):
         # column 0 has norm 2, column 1 norm 1
-        f = cpqr(np.array([[2.0, 1.0], [0.0, 0.0]]), 1)
-        assert f.perm[0] == 0
-        assert abs(f.r[0, 0]) == pytest.approx(2.0, abs=1e-15)
+        r, perm = cpqr(np.array([[2.0, 1.0], [0.0, 0.0]]), 1)
+        assert perm[0] == 0
+        assert abs(r[0, 0]) == pytest.approx(2.0, abs=1e-15)
 
     def test_low_rank_detection(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((50, 10)) @ rng.standard_normal((10, 30))
-        f = cpqr(a, 30, rank_tol=1e-10)
-        assert f.numerical_rank == 10
+        # the numerical rank is counted at the fixed 1e-12 relative tolerance
+        assert matrix_id(a, 30).numerical_rank == 10
         # cross-check against the SVD oracle
         sv = svd_values(a)
         assert sv[9] / sv[0] > 1e-10 > sv[10] / sv[0]
+        assert sv[10] / sv[0] < 1e-12
 
     def test_zero_matrix(self):
-        f = cpqr(np.zeros((4, 3)), 2)
-        assert f.numerical_rank == 0
-        assert np.all(f.r == 0.0)
+        r, perm = cpqr(np.zeros((4, 3)), 2)
+        assert np.all(r == 0.0)
+        assert matrix_id(np.zeros((4, 3)), 2).numerical_rank == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reconstruction_and_monotonicity(self, seed):
@@ -47,17 +49,19 @@ class TestCpqr:
         cols = int(rng.integers(5, 200))
         a = rng.standard_normal((rows, cols))
         k = int(rng.integers(1, min(rows, cols) + 1))
-        f = cpqr(a, k)
-        d = np.abs(np.diag(f.r))
+        r, perm = cpqr(a, k)
+        assert r.shape == (k, cols)
+        d = np.abs(np.diag(r))
         assert np.all(d[:-1] >= d[1:])
-        err = np.linalg.norm(f.q @ f.r - a[:, f.perm][:, : f.r.shape[1]], "fro")
-        # truncated factorization reproduces the pivoted columns it spans
-        full = cpqr(a, min(rows, cols))
-        err_full = np.linalg.norm(
-            full.q @ full.r - a[:, full.perm], "fro"
-        ) / np.linalg.norm(a, "fro")
-        assert err_full <= 1e-10
-        assert np.abs(full.q.T @ full.q - np.eye(full.q.shape[1])).max() <= 1e-12
+        # the truncated factorization is the prefix of the full one
+        full_r, full_perm = cpqr(a, min(rows, cols))
+        assert np.array_equal(r, full_r[:k])
+        assert np.array_equal(perm, full_perm)
+        # R'R = P'A'AP holds exactly when Q has orthonormal columns and
+        # Q R reproduces the pivoted columns
+        ap = a[:, full_perm]
+        err_full = np.linalg.norm(full_r.T @ full_r - ap.T @ ap, "fro")
+        assert err_full <= 1e-12 * np.linalg.norm(a, "fro") ** 2
 
     def test_bad_rank(self):
         with pytest.raises(ValueError):
