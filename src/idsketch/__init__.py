@@ -25,7 +25,6 @@ from .generators import gen_synthetic_matrix, gen_synthetic_tensor
 from .linalg import (
     SingularTriangleError,
     cpqr,
-    svd_values,
     triangular_solve,
 )
 from .matrix_id import (
@@ -73,7 +72,6 @@ __all__ = [
     "run_experiment",
     "save_cp_dir",
     "srft_id",
-    "svd_values",
     "tensor_id_from_sketch",
     "tensorsketch_id",
     "triangular_solve",

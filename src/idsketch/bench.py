@@ -4,6 +4,7 @@ per-trial reports plus per-cell summaries."""
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,14 @@ def derive_seed(master, *tags):
     )
 
 
+def _finite_error(err):
+    """`err` as a float; a non-finite error raises FloatingPointError, so no
+    trial reports a NaN or inf as a success."""
+    if not math.isfinite(err):
+        raise FloatingPointError(f"non-finite error {err!r}")
+    return float(err)
+
+
 def run_matrix_trial(a, method, rank, sketch_dim, seed):
     """Decompose `a`, timing the sketch and ID phases separately, and
     estimate the spectral-norm error of the result."""
@@ -112,7 +121,7 @@ def run_matrix_trial(a, method, rank, sketch_dim, seed):
     est = est_spectral_norm(
         apply, adjoint, cols=a.shape[1], seed=derive_seed(seed, 0xE57)
     )
-    return decomp, est.value, sketch_time, wall
+    return decomp, _finite_error(est.value), sketch_time, wall
 
 
 def run_tensor_trial(x, method, rank, sketch_dim, seed):
@@ -120,7 +129,7 @@ def run_tensor_trial(x, method, rank, sketch_dim, seed):
     the exact Frobenius error of the result."""
     result, sketch_time, wall = decompose_tensor(x, method, rank, sketch_dim, seed)
     err = cp_diff_norm(x, result.reduced)
-    return result, err, sketch_time, wall
+    return result, _finite_error(err), sketch_time, wall
 
 
 def generate_input(cfg, size):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success; 2 on argument/usage errors and bad input,
 including input files with non-finite entries; 3 on numerical failure
-during the computation (singular systems, floating-point errors).
+during the computation (singular systems, floating-point errors, an error
+that is not finite).
 """
 
 import json
@@ -21,7 +22,7 @@ from .bench import (
 from .cp_tensor import TENSOR_METHODS, load_cp_dir, save_cp_dir
 from .generators import gen_synthetic_matrix, gen_synthetic_tensor
 from .linalg import SingularTriangleError
-from .matrix_id import MATRIX_METHODS
+from .matrix_id import DEFAULT_OVERSAMPLE, MATRIX_METHODS
 from .mmio import read_matrix_market, write_matrix_market
 
 EXIT_ARGUMENT = 2
@@ -40,7 +41,7 @@ def _run(fn):
 
 
 def _emit(payload, out):
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -62,7 +63,7 @@ def main():
     default="countsketch",
     show_default=True,
 )
-@click.option("--oversample", type=int, default=10, show_default=True,
+@click.option("--oversample", type=int, default=DEFAULT_OVERSAMPLE, show_default=True,
               help="Sketch rows above the rank (L = K + oversample).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -101,7 +102,7 @@ def matrix_id_cmd(input_path, rank, method, oversample, seed, out):
     default="tensorsketch",
     show_default=True,
 )
-@click.option("--oversample", type=int, default=10, show_default=True)
+@click.option("--oversample", type=int, default=DEFAULT_OVERSAMPLE, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def tensor_id_cmd(cp_dir, rank, method, oversample, seed, out):

@@ -48,9 +48,9 @@ class CpTensor:
 
     The constructor normalizes factor columns, folding norms (and the sign
     needed to keep weights nonnegative, applied to the first mode) into the
-    weights. Zero columns contribute weight 0, get replaced by an arbitrary
-    unit vector, and are recorded in `zero_columns`. Instances are treated
-    as immutable and are safe to share across threads.
+    weights. Zero columns contribute weight 0 and get replaced by an
+    arbitrary unit vector. Instances are treated as immutable and are safe
+    to share across threads.
     """
 
     def __init__(self, weights, factors):
@@ -72,12 +72,10 @@ class CpTensor:
         if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
 
-        zero_cols = np.zeros(rank, dtype=bool)
         normalized = []
         for factor in factors:
             norms = _column_norms(factor)
             zero = norms == 0.0
-            zero_cols |= zero
             # columns already unit to round-off are kept bit-identical, so
             # selecting terms out of a normalized tensor is an exact
             # column-subset operation
@@ -96,7 +94,6 @@ class CpTensor:
 
         self.weights = weights
         self.factors = normalized
-        self.zero_columns = np.flatnonzero(zero_cols)
 
     @property
     def rank(self):

@@ -124,17 +124,3 @@ def id_residual_operator(a, decomp):
         return coeffs.T @ u[cols] - u
 
     return apply, apply_adjoint
-
-
-def matrix_operator(a):
-    """Operator pair for a plain (sparse or dense) matrix."""
-
-    a_t = a.T
-
-    def apply(x):
-        return np.asarray(a @ x).ravel()
-
-    def apply_adjoint(y):
-        return np.asarray(a_t @ y).ravel()
-
-    return apply, apply_adjoint

@@ -76,12 +76,6 @@ def cpqr(a, rank):
     return np.ascontiguousarray(r[:rank, :]), perm
 
 
-def svd_values(a):
-    """Full singular spectrum of a dense matrix, nonincreasing."""
-    a = as_dense(a)
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def triangular_solve(r, b):
     """Solve r @ x = b for a nonsingular upper triangular `r`.
 

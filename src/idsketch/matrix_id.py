@@ -35,14 +35,6 @@ class InterpolativeDecomposition:
     numerical_rank: int
     rank_deficient: bool
 
-    def reconstruct(self, a):
-        """Dense rank-k approximation A[:, cols] @ coeffs of `a`."""
-        sel = a[:, self.cols]
-        out = sel @ self.coeffs
-        if sp.issparse(out):
-            out = out.toarray()
-        return np.asarray(out)
-
     def to_dict(self):
         """JSON-ready form; column indices are 0-based."""
         return {

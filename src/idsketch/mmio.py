@@ -5,7 +5,6 @@ Values are written with 17 significant digits so float64 entries survive a
 write/read round trip exactly.
 """
 
-import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 

@@ -4,9 +4,9 @@ Every operator here is stored implicitly (hash tables, sign vectors, or a
 seed) and applied without forming the sketching matrix, at the cost the
 sketch family advertises: one pass over the nonzeros for CountSketch, FFTs
 of the exact output length for TensorSketch, full-length mixed-radix FFTs
-for the subsampled Fourier sketch. Each operator also knows how to
-materialize itself as a dense matrix, which the test suite uses as the
-oracle for the implicit paths.
+for the subsampled Fourier sketch. No operator forms its dense matrix;
+the test suite builds those dense oracles itself (`tests/conftest.py`),
+from the operators' hash arrays and seeds.
 
 Randomness: operators are seeded independently via `numpy.random.SeedSequence`
 children, so per-mode hash maps are mutually independent. The Gaussian
@@ -24,21 +24,17 @@ All operators are immutable after construction and safe to share across
 threads; `apply` is reentrant.
 """
 
-from functools import cached_property
-
 import numpy as np
 import scipy.sparse as sp
 from scipy import fft as _fft
 
-_MAX_MATERIALIZE = 50_000_000  # entries; guards accidental huge densifications
+_SRFT_BLOCK_COLS = 256  # sparse columns densified per FFT block
 
 
 def _seed_entropy(seed):
     """Normalize a seed to an integer entropy value (fresh entropy if None)."""
     if seed is None:
         return np.random.SeedSequence().entropy
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.entropy
     return int(seed)
 
 
@@ -108,44 +104,18 @@ class CountSketchOp:
         self.bucket = bucket.astype(np.int64)
         self.sign = sign
 
-    @classmethod
-    def from_arrays(cls, bucket, sign, out_dim=None):
-        """Build an operator from explicit bucket and sign arrays; every
-        bucket must lie in [0, out_dim)."""
-        bucket = np.asarray(bucket, dtype=np.int64)
-        sign = np.asarray(sign, dtype=np.float64)
-        if bucket.ndim != 1 or bucket.shape != sign.shape:
-            raise ValueError("bucket and sign must be 1-D arrays of equal length")
-        if not np.isin(sign, (-1.0, 1.0)).all():
-            raise ValueError("signs must be +-1")
-        op = cls.__new__(cls)
-        op.in_dim = bucket.size
-        op.out_dim = int(bucket.max()) + 1 if out_dim is None else int(out_dim)
-        if ((bucket < 0) | (bucket >= op.out_dim)).any():
-            raise ValueError(f"buckets must lie in [0, {op.out_dim})")
-        op.surjective = bool(np.unique(bucket).size == op.out_dim)
-        op.bucket = bucket
-        op.sign = sign
-        return op
-
-    @cached_property
-    def _matrix(self):
-        # one +-1 entry per column; CSR so S @ A streams over rows of A
-        cols = np.arange(self.in_dim, dtype=np.int64)
-        return sp.csr_array(
-            (self.sign, (self.bucket, cols)), shape=(self.out_dim, self.in_dim)
-        )
-
     def apply(self, a):
         """Sketch `a` (sparse or dense, in_dim rows); returns a dense array."""
         _check_rows(a, self.in_dim, "CountSketch")
-        out = self._matrix @ a
+        # one +-1 entry per column; CSR so S @ A streams over rows of A
+        cols = np.arange(self.in_dim, dtype=np.int64)
+        s = sp.csr_array(
+            (self.sign, (self.bucket, cols)), shape=(self.out_dim, self.in_dim)
+        )
+        out = s @ a
         if sp.issparse(out):
             out = out.toarray()
         return np.asarray(out, dtype=np.float64)
-
-    def materialize(self):
-        return self._matrix.toarray()
 
 
 class TensorSketchOp:
@@ -172,10 +142,6 @@ class TensorSketchOp:
             for n, d in enumerate(mode_dims)
         ]
 
-    @property
-    def in_dim(self):
-        return int(np.prod(self.mode_dims))
-
     def apply(self, factors, weights=None):
         """Sketch the Khatri-Rao product of `factors`, scaled columnwise.
 
@@ -193,27 +159,6 @@ class TensorSketchOp:
             transform = _fft.rfft(hashed, axis=0)
             spectrum = transform if spectrum is None else spectrum * transform
         return _fft.irfft(spectrum, n=self.out_dim, axis=0) * weights
-
-    def composite_bucket(self):
-        """Bucket index for every row of the full Khatri-Rao product
-        (last mode fastest), as a length-prod(mode_dims) array."""
-        total = np.zeros(1, dtype=np.int64)
-        for op in self.mode_ops:
-            total = (total[:, None] + op.bucket[None, :]).ravel()
-        return total % self.out_dim
-
-    def composite_sign(self):
-        total = np.ones(1, dtype=np.float64)
-        for op in self.mode_ops:
-            total = (total[:, None] * op.sign[None, :]).ravel()
-        return total
-
-    def materialize(self):
-        if self.in_dim * self.out_dim > _MAX_MATERIALIZE:
-            raise ValueError("operator too large to materialize")
-        dense = np.zeros((self.out_dim, self.in_dim))
-        dense[self.composite_bucket(), np.arange(self.in_dim)] = self.composite_sign()
-        return dense
 
 
 class SrftOp:
@@ -238,17 +183,15 @@ class SrftOp:
         self.sign = rng.integers(0, 2, size=in_dim).astype(np.float64) * 2.0 - 1.0
         self.sample_rows = rng.choice(in_dim, size=out_dim, replace=False)
 
-    def apply(self, a, block_cols=256):
-        """Sketch `a`; sparse input is densified `block_cols` columns at a
-        time (block_cols <= 1024) to bound memory."""
+    def apply(self, a):
+        """Sketch `a`; sparse input is densified _SRFT_BLOCK_COLS columns at
+        a time to bound memory."""
         _check_rows(a, self.in_dim, "SRFT")
-        if not 1 <= block_cols <= 1024:
-            raise ValueError("block_cols must be in [1, 1024]")
         cols = a.shape[1]
         out = np.empty((2 * self.out_dim, cols))
         sparse = sp.issparse(a)
-        for start in range(0, cols, block_cols):
-            stop = min(start + block_cols, cols)
+        for start in range(0, cols, _SRFT_BLOCK_COLS):
+            stop = min(start + _SRFT_BLOCK_COLS, cols)
             block = a[:, start:stop]
             if sparse:
                 block = block.toarray()
@@ -256,18 +199,6 @@ class SrftOp:
             z = _fft.fft(block, axis=0)[self.sample_rows]
             out[0::2, start:stop] = z.real
             out[1::2, start:stop] = z.imag
-        return out
-
-    def materialize(self):
-        """Real (2 * out_dim, in_dim) representation of the operator."""
-        if 2 * self.out_dim * self.in_dim > _MAX_MATERIALIZE:
-            raise ValueError("operator too large to materialize")
-        n = np.arange(self.in_dim)
-        z = np.exp(-2j * np.pi * np.outer(self.sample_rows, n) / self.in_dim)
-        z = z * self.sign[None, :]
-        out = np.empty((2 * self.out_dim, self.in_dim))
-        out[0::2] = z.real
-        out[1::2] = z.imag
         return out
 
 
@@ -353,21 +284,6 @@ class KrGaussianOp:
             term = omega_rows.T @ sub
             out = term if out is None else out * term
         return out * weights
-
-    def materialize_factor(self, n):
-        """Dense (I_n, out_dim) Gaussian factor for mode n."""
-        return _normal_rows(self._keys[n], np.arange(self.mode_dims[n]), self.out_dim)
-
-    def materialize(self):
-        """Dense (out_dim, prod(mode_dims)) operator: the transposed
-        Khatri-Rao product of the per-mode factors."""
-        if self.in_dim * self.out_dim > _MAX_MATERIALIZE:
-            raise ValueError("operator too large to materialize")
-        kr = np.ones((1, self.out_dim))
-        for n in range(len(self.mode_dims)):
-            factor = self.materialize_factor(n)
-            kr = (kr[:, None, :] * factor[None, :, :]).reshape(-1, self.out_dim)
-        return kr.T
 
 
 class GaussianOp(KrGaussianOp):

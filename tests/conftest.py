@@ -37,6 +37,62 @@ def dense_srft(sign, sample_rows, in_dim):
     return out
 
 
+def dense_tensorsketch(op):
+    """Dense TensorSketch operator over the rows of the Khatri-Rao product
+    (last mode fastest): the composite bucket is the mod-L sum of the
+    per-mode buckets and the composite sign their product."""
+    bucket = np.zeros(1, dtype=np.int64)
+    sign = np.ones(1)
+    for mode in op.mode_ops:
+        bucket = (bucket[:, None] + mode.bucket[None, :]).ravel()
+        sign = (sign[:, None] * mode.sign[None, :]).ravel()
+    return dense_countsketch(bucket % op.out_dim, sign, op.out_dim)
+
+
+def per_row_normals(key, rows, count):
+    """Reference Gaussian stream: one Philox generator per row at that row's
+    counter block, uniforms from Generator.random, then Box-Muller."""
+    npairs = (count + 1) // 2
+    per_row = 2 * npairs
+    blocks = -(-per_row // 4)
+    out = np.empty((len(rows), count))
+    for t, i in enumerate(rows):
+        bg = np.random.Philox(key=key, counter=int(i) * blocks)
+        u = np.random.Generator(bg).random(per_row)
+        radius = np.sqrt(-2.0 * np.log1p(-u[:npairs]))
+        angle = (2.0 * np.pi) * u[npairs:]
+        out[t] = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+    return out
+
+
+def dense_kr_gaussian(op):
+    """Dense (out_dim, prod(mode_dims)) Khatri-Rao Gaussian operator: the
+    transposed Khatri-Rao product of the per-mode factors, each drawn row by
+    row from the Philox key of (seed, mode)."""
+    factors = [
+        per_row_normals(
+            np.random.SeedSequence([op.seed, n]).generate_state(2, np.uint64),
+            range(dim),
+            op.out_dim,
+        )
+        for n, dim in enumerate(op.mode_dims)
+    ]
+    return khatri_rao(factors).T
+
+
+def matrix_operator(a):
+    """Operator pair for a plain (sparse or dense) matrix."""
+    a_t = a.T
+
+    def apply(x):
+        return np.asarray(a @ x).ravel()
+
+    def apply_adjoint(y):
+        return np.asarray(a_t @ y).ravel()
+
+    return apply, apply_adjoint
+
+
 def cp_dense(x):
     """Densify a CP tensor by summing outer products term by term."""
     out = np.zeros(x.mode_dims)

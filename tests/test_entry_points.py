@@ -115,3 +115,22 @@ def test_tensor_id_keys(cp_path):
 def test_every_public_name_resolves():
     missing = [name for name in idsketch.__all__ if not hasattr(idsketch, name)]
     assert missing == []
+
+
+PUBLIC_NAMES = [
+    "CountSketchOp", "CpTensor", "ExperimentConfig", "GaussianOp", "IdReport",
+    "InterpolativeDecomposition", "KrGaussianOp", "NormEstimate",
+    "SingularTriangleError", "SrftOp", "TensorIdResult", "TensorSketchOp",
+    "countsketch_id", "cp_diff_norm", "cp_norm", "cpqr", "est_spectral_norm",
+    "gaussian_id", "gaussian_tensor_id", "gen_synthetic_matrix",
+    "gen_synthetic_tensor", "gram_hadamard", "gram_tensor_id",
+    "id_residual_operator", "load_cp_dir", "matrix_id", "matrix_sketch",
+    "read_matrix_market", "run_experiment", "save_cp_dir", "srft_id",
+    "tensor_id_from_sketch", "tensorsketch_id", "triangular_solve", "write_csv",
+    "write_matrix_market",
+]
+
+
+def test_public_surface_is_pinned():
+    # adding or removing a public name is a deliberate change to this list
+    assert sorted(idsketch.__all__) == PUBLIC_NAMES

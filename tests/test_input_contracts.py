@@ -7,19 +7,48 @@ import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
 
-from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, main
+from idsketch.bench import run_tensor_trial
+from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, _emit, main
 from idsketch.cp_tensor import CpTensor, load_cp_dir, save_cp_dir
 from idsketch.mmio import write_matrix_market
-from idsketch.sketch import CountSketchOp
+
+BANNER = "%%MatrixMarket matrix coordinate real general\n"
 
 
 @pytest.mark.parametrize(
-    "bucket, out_dim",
-    [([0, 5, 1], 3), ([0, -1, 1], 3), ([-1, 0, 1], None)],
+    "text",
+    [
+        BANNER + "3 2 3\n1 1 1.0\n",
+        "%%MatrixMarket matrix array real general\n3 2\n1.0\n2.0\n",
+        "3 2 2\n1 1 1.0\n2 2 1.0\n",
+        "",
+    ],
+    ids=["truncated-coordinate", "truncated-array", "no-banner", "empty"],
 )
-def test_countsketch_from_arrays_rejects_out_of_range_buckets(bucket, out_dim):
-    with pytest.raises(ValueError, match="buckets must lie in"):
-        CountSketchOp.from_arrays(bucket, [1.0, -1.0, 1.0], out_dim=out_dim)
+def test_malformed_mtx_is_an_input_error(tmp_path, text):
+    mtx = tmp_path / "bad.mtx"
+    mtx.write_text(text)
+    res = CliRunner().invoke(main, ["matrix-id", str(mtx), "--rank", "1"])
+    assert res.exit_code == EXIT_ARGUMENT == 2
+    assert res.output.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "method, exit_code, message",
+    [
+        ("deterministic", 0, '"rows": 1'),
+        ("countsketch", EXIT_ARGUMENT,
+         "error: sketch dimension 11 must be < 1 input rows"),
+    ],
+)
+def test_single_row_matrix(tmp_path, method, exit_code, message):
+    mtx = tmp_path / "row.mtx"
+    mtx.write_text(BANNER + "1 3 3\n1 1 1.0\n1 2 2.0\n1 3 3.0\n")
+    res = CliRunner().invoke(
+        main, ["matrix-id", str(mtx), "--rank", "1", "--method", method]
+    )
+    assert res.exit_code == exit_code, res.output
+    assert message in res.output
 
 
 @pytest.mark.parametrize("method", ["deterministic", "countsketch"])
@@ -71,3 +100,32 @@ def test_malformed_cp_meta_is_an_input_error(tmp_path, meta):
     res = CliRunner().invoke(main, ["tensor-id", str(tmp_path), "--rank", "1"])
     assert res.exit_code == EXIT_ARGUMENT == 2
     assert "error: " in res.output
+
+
+def overflowing_tensor():
+    # finite weights whose squares overflow in the error's weighted Gram
+    rng = np.random.default_rng(0)
+    factors = [rng.standard_normal((8, 10)) for _ in range(3)]
+    return CpTensor((rng.random(10) + 0.5) * 1e160, factors)
+
+
+@pytest.mark.parametrize("method", ["tensorsketch", "gaussian"])
+def test_nonfinite_tensor_error_is_a_numerical_failure(tmp_path, method):
+    # the reduction succeeds but its error overflows to NaN: exit 3 with no
+    # report, where the CLI exited 0 and wrote "error_estimate": NaN
+    save_cp_dir(tmp_path, overflowing_tensor())
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = CliRunner().invoke(
+            main, ["tensor-id", str(tmp_path), "--rank", "3", "--method", method]
+        )
+    assert res.exit_code == EXIT_NUMERICAL == 3, res.output
+    assert "numerical failure: non-finite error" in res.output
+    assert "NaN" not in res.output
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite error"):
+            run_tensor_trial(overflowing_tensor(), method, 3, 13, seed=0)
+
+
+def test_report_with_nan_is_not_written():
+    with pytest.raises(ValueError):
+        _emit({"error_estimate": float("nan")}, None)

@@ -11,7 +11,15 @@ from idsketch.sketch import (
     TensorSketchOp,
 )
 
-from conftest import dense_countsketch, dense_srft, khatri_rao
+import idsketch.sketch
+from conftest import (
+    dense_countsketch,
+    dense_kr_gaussian,
+    dense_srft,
+    dense_tensorsketch,
+    khatri_rao,
+    per_row_normals,
+)
 
 
 class TestCountSketch:
@@ -37,7 +45,9 @@ class TestCountSketch:
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_hand_example(self):
-        op = CountSketchOp.from_arrays([0, 1, 0, 1], [1.0, -1.0, 1.0, 1.0])
+        op = CountSketchOp(4, 2, seed=0)
+        op.bucket[:] = [0, 1, 0, 1]
+        op.sign[:] = [1.0, -1.0, 1.0, 1.0]
         out = op.apply(np.eye(4))
         assert np.array_equal(out, [[1.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 1.0]])
 
@@ -45,7 +55,9 @@ class TestCountSketch:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((6, 3))
         perm = rng.permutation(6)
-        op = CountSketchOp.from_arrays(perm, np.ones(6))
+        op = CountSketchOp(6, 6, seed=0)
+        op.bucket[:] = perm
+        op.sign[:] = 1.0
         assert np.array_equal(op.apply(a)[perm], a)
 
     def test_sparse_matches_densified_operator(self):
@@ -57,12 +69,12 @@ class TestCountSketch:
 
     def test_frobenius_mass_exact(self):
         op = CountSketchOp(73, 9, seed=5)
-        dense = op.materialize()
+        dense = op.apply(np.eye(73))
         assert np.sum(dense**2) == 73.0
 
     def test_surjective_operator_full_rank(self):
         op = CountSketchOp(60, 12, seed=6, surjective=True)
-        assert np.linalg.matrix_rank(op.materialize()) == 12
+        assert np.linalg.matrix_rank(op.apply(np.eye(60))) == 12
 
     def test_replay(self):
         a = np.random.default_rng(0).standard_normal((30, 4))
@@ -94,12 +106,8 @@ class TestTensorSketch:
         factors = [rng.standard_normal((3, 2)), rng.standard_normal((3, 2))]
         lam = rng.random(2) + 0.5
         op = TensorSketchOp([3, 3], 4, seed=seed)
-        # composite hash and sign computed here, straight from the per-mode arrays
-        h0, h1 = (mode.bucket for mode in op.mode_ops)
-        s0, s1 = (mode.sign for mode in op.mode_ops)
-        comp_bucket = ((h0[:, None] + h1[None, :]) % 4).ravel()
-        comp_sign = (s0[:, None] * s1[None, :]).ravel()
-        dense_t = dense_countsketch(comp_bucket, comp_sign, 4)
+        # composite hash and sign built straight from the per-mode arrays
+        dense_t = dense_tensorsketch(op)
         m = khatri_rao(factors) * lam
         assert np.abs(op.apply(factors, lam) - dense_t @ m).max() <= 1e-12
 
@@ -107,10 +115,11 @@ class TestTensorSketch:
         factors = [np.ones((2, 1))] * 3
         op = TensorSketchOp([2, 2, 2], 5, seed=9)
         out = op.apply(factors, np.array([1.0]))
-        oracle = op.materialize() @ khatri_rao(factors)
+        dense_t = dense_tensorsketch(op)
+        oracle = dense_t @ khatri_rao(factors)
         assert np.abs(out - oracle).max() <= 1e-12
         # every row of the Khatri-Rao product is 1, so mass sums to +-contributions
-        assert out.sum() == pytest.approx(op.composite_sign().sum(), abs=1e-10)
+        assert out.sum() == pytest.approx(dense_t.sum(), abs=1e-10)
 
     def test_sparse_factors(self):
         rng = np.random.default_rng(10)
@@ -119,7 +128,7 @@ class TestTensorSketch:
             for _ in range(3)
         ]
         op = TensorSketchOp([9, 9, 9], 6, seed=11)
-        oracle = op.materialize() @ khatri_rao(factors)
+        oracle = dense_tensorsketch(op) @ khatri_rao(factors)
         assert np.abs(op.apply(factors) - oracle).max() <= 1e-11
 
     def test_mismatched_columns(self):
@@ -156,12 +165,15 @@ class TestSrft:
         oracle = dense_srft(op.sign, op.sample_rows, 64) @ a
         assert np.abs(op.apply(a) - oracle).max() <= 1e-11
 
-    def test_sparse_blocked_equals_dense(self):
+    def test_sparse_blocked_equals_dense(self, monkeypatch):
         rng = np.random.default_rng(17)
         a = sp.random_array((50, 30), density=0.1, rng=rng, format="csc")
         op = SrftOp(50, 9, seed=18)
-        blocked = op.apply(a, block_cols=7)
-        assert np.abs(blocked - op.apply(a.toarray())).max() <= 1e-12
+        whole = op.apply(a.toarray())  # a single block at the default width
+        # 7-column blocks: four full blocks and a partial last one
+        monkeypatch.setattr(idsketch.sketch, "_SRFT_BLOCK_COLS", 7)
+        blocked = op.apply(a)
+        assert np.abs(blocked - whole).max() <= 1e-12
 
     def test_sample_rows_distinct(self):
         op = SrftOp(100, 40, seed=19)
@@ -181,7 +193,7 @@ class TestGaussian:
         rng = np.random.default_rng(21)
         a = rng.standard_normal((30, 6))
         op = GaussianOp(30, 7, seed=22)
-        assert np.abs(op.apply(a) - op.materialize() @ a).max() <= 1e-12
+        assert np.abs(op.apply(a) - dense_kr_gaussian(op) @ a).max() <= 1e-12
 
     def test_kr_matches_densified(self):
         rng = np.random.default_rng(23)
@@ -189,7 +201,7 @@ class TestGaussian:
         lam = np.array([1.0, 2.0])
         op = KrGaussianOp([3, 3], 5, seed=24)
         m = khatri_rao(factors) * lam
-        assert np.abs(op.apply(factors, lam) - op.materialize() @ m).max() <= 1e-12
+        assert np.abs(op.apply(factors, lam) - dense_kr_gaussian(op) @ m).max() <= 1e-12
 
     def test_kr_single_mode_is_gaussian_op(self):
         rng = np.random.default_rng(25)
@@ -209,9 +221,7 @@ class TestGaussian:
         other = rng.standard_normal((6, 2))
         op = KrGaussianOp([6, 40], 9, seed=27)
         out = op.apply([other, sp.csc_array(factor)])
-        oracle = (op.materialize_factor(0).T @ other) * (
-            op.materialize_factor(1).T @ factor
-        )
+        oracle = dense_kr_gaussian(op) @ khatri_rao([other, factor])
         assert np.abs(out - oracle).max() <= 1e-12
 
     def test_isotropy(self):
@@ -261,22 +271,6 @@ class TestLinearity:
         assert np.abs(op.apply(a + b) - (op.apply(a) + op.apply(b))).max() <= 1e-12
 
 
-def per_row_normals(key, rows, count):
-    """Reference stream: one Philox generator per row at that row's counter
-    block, uniforms from Generator.random, then Box-Muller."""
-    npairs = (count + 1) // 2
-    per_row = 2 * npairs
-    blocks = -(-per_row // 4)
-    out = np.empty((len(rows), count))
-    for t, i in enumerate(rows):
-        bg = np.random.Philox(key=key, counter=int(i) * blocks)
-        u = np.random.Generator(bg).random(per_row)
-        radius = np.sqrt(-2.0 * np.log1p(-u[:npairs]))
-        angle = (2.0 * np.pi) * u[npairs:]
-        out[t] = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
-    return out
-
-
 class TestGaussianStream:
     @pytest.mark.parametrize(
         "rows",
@@ -298,4 +292,4 @@ class TestGaussianStream:
         dense[[0, 7, 8, 9, 25, 39]] = 0.0  # zero first, last and interior rows
         a = sp.csc_array(dense)
         op = GaussianOp(40, 6, seed=36)
-        assert np.abs(op.apply(a) - op.materialize() @ dense).max() <= 1e-12
+        assert np.abs(op.apply(a) - dense_kr_gaussian(op) @ dense).max() <= 1e-12
