@@ -74,8 +74,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path):
+        """Config from a JSON object file; a malformed one is a ValueError."""
         with open(path) as fh:
-            return cls(**json.load(fh))
+            data = json.load(fh)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # not an object, a missing or unknown key
+            raise ValueError(f"config {path}: {exc}") from None
 
 
 @dataclass

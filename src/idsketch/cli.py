@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 on success; 2 on argument/usage errors and bad input,
-including input files with non-finite entries; 3 on numerical failure
-during the computation (singular systems, floating-point errors, an error
-that is not finite).
+including input files with non-finite entries and malformed bench
+configs; 3 on numerical failure during the computation (singular systems,
+floating-point errors, a sketch, Gram or triangle that overflows on finite
+input, an error that is not finite).
 """
 
 import json
@@ -54,82 +55,73 @@ def main():
     """Fast randomized interpolative decomposition of matrices and CP tensors."""
 
 
+def _id_options(methods, default):
+    """The options matrix-id and tensor-id share, as one decorator."""
+    options = [
+        click.option("--rank", "-k", type=int, required=True, help="Target rank K."),
+        click.option("--method", type=click.Choice(methods), default=default,
+                     show_default=True, help="Decomposition method."),
+        click.option("--oversample", type=int, default=DEFAULT_OVERSAMPLE,
+                     show_default=True,
+                     help="Sketch rows above the rank (L = K + oversample)."),
+        click.option("--seed", type=int, default=0, show_default=True,
+                     help="Seed of the sketch."),
+        click.option("--out", type=click.Path(dir_okay=False), default=None,
+                     help="Write the JSON report here instead of stdout."),
+    ]
+
+    def decorate(fn):
+        for option in reversed(options):  # click lists them in this order
+            fn = option(fn)
+        return fn
+
+    return decorate
+
+
+def _id_report(path, load, run_trial, describe, norm_kind,
+               rank, method, oversample, seed, out):
+    """Load the input, decompose it and emit the JSON report."""
+    data = load(path)
+    sketch_dim = rank + oversample
+    result, err, _, wall = run_trial(data, method, rank, sketch_dim, seed)
+    payload = {
+        "input": path,
+        **describe(data),
+        "method": method,
+        "rank": rank,
+        "sketch_dim": None if method in ("deterministic", "gram") else sketch_dim,
+        "seed": seed,
+        "error_estimate": err,
+        "error_norm_kind": norm_kind,
+        "wall_time_seconds": wall,
+        "id": result.to_dict(),
+    }
+    _emit(payload, out)
+
+
 @main.command("matrix-id")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--rank", "-k", type=int, required=True, help="Target rank K.")
-@click.option(
-    "--method",
-    type=click.Choice(MATRIX_METHODS),
-    default="countsketch",
-    show_default=True,
-)
-@click.option("--oversample", type=int, default=DEFAULT_OVERSAMPLE, show_default=True,
-              help="Sketch rows above the rank (L = K + oversample).")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the JSON report here instead of stdout.")
-def matrix_id_cmd(input_path, rank, method, oversample, seed, out):
+@_id_options(MATRIX_METHODS, "countsketch")
+def matrix_id_cmd(input_path, **options):
     """Decompose a Matrix Market file (sparse coordinate or dense array)."""
-
-    def go():
-        a = read_matrix_market(input_path)
-        sketch_dim = rank + oversample
-        decomp, err, _, wall = run_matrix_trial(a, method, rank, sketch_dim, seed)
-        payload = {
-            "input": input_path,
-            "rows": int(a.shape[0]),
-            "cols": int(a.shape[1]),
-            "method": method,
-            "rank": rank,
-            "sketch_dim": None if method == "deterministic" else sketch_dim,
-            "seed": seed,
-            "error_estimate": err,
-            "error_norm_kind": "spectral-estimated",
-            "wall_time_seconds": wall,
-            "id": decomp.to_dict(),
-        }
-        _emit(payload, out)
-
-    _run(go)
+    _run(lambda: _id_report(
+        input_path, read_matrix_market, run_matrix_trial,
+        lambda a: {"rows": int(a.shape[0]), "cols": int(a.shape[1])},
+        "spectral-estimated", **options,
+    ))
 
 
 @main.command("tensor-id")
 @click.argument("cp_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--rank", "-k", type=int, required=True, help="Target rank K.")
-@click.option(
-    "--method",
-    type=click.Choice(TENSOR_METHODS),
-    default="tensorsketch",
-    show_default=True,
-)
-@click.option("--oversample", type=int, default=DEFAULT_OVERSAMPLE, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def tensor_id_cmd(cp_dir, rank, method, oversample, seed, out):
+@_id_options(TENSOR_METHODS, "tensorsketch")
+def tensor_id_cmd(cp_dir, **options):
     """Reduce the rank of a CP tensor stored as a directory
     (meta.json, svalues.txt, factor_*.mtx)."""
-
-    def go():
-        x = load_cp_dir(cp_dir)
-        sketch_dim = rank + oversample
-        result, err, _, wall = run_tensor_trial(x, method, rank, sketch_dim, seed)
-        payload = {
-            "input": cp_dir,
-            "n_modes": x.ndim,
-            "mode_dims": list(x.mode_dims),
-            "terms": x.rank,
-            "method": method,
-            "rank": rank,
-            "sketch_dim": None if method == "gram" else sketch_dim,
-            "seed": seed,
-            "error_estimate": err,
-            "error_norm_kind": "frobenius-exact",
-            "wall_time_seconds": wall,
-            "id": result.to_dict(),
-        }
-        _emit(payload, out)
-
-    _run(go)
+    _run(lambda: _id_report(
+        cp_dir, load_cp_dir, run_tensor_trial,
+        lambda x: {"n_modes": x.ndim, "mode_dims": list(x.mode_dims), "terms": x.rank},
+        "frobenius-exact", **options,
+    ))
 
 
 @main.command()

@@ -9,6 +9,7 @@ factor Gram matrices), so tensors are never densified outside of tests.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,8 +21,9 @@ import scipy.sparse as sp
 from .linalg import as_csc, as_dense, cpqr
 from .matrix_id import (
     InterpolativeDecomposition,
+    _check_id_args,
     _id_from_pivoted,
-    check_sketch_dim,
+    _sketch_and_id,
     matrix_id,
 )
 from .mmio import read_matrix_market, write_matrix_market
@@ -57,7 +59,7 @@ class CpTensor:
         if len(factors) == 0:
             raise ValueError("need at least one factor matrix")
         factors = [
-            as_csc(f) if sp.issparse(f) else as_dense(f, name=f"factor {n}")
+            (as_csc if sp.issparse(f) else as_dense)(f, name=f"factor {n}")
             for n, f in enumerate(factors)
         ]
         rank = factors[0].shape[1]
@@ -109,7 +111,7 @@ class CpTensor:
 
     @property
     def total_entries(self):
-        return int(np.prod(self.mode_dims))
+        return math.prod(self.mode_dims)
 
     def select(self, cols, weights):
         """CP tensor built from the given term indices and new weights."""
@@ -214,27 +216,6 @@ def tensor_id_from_sketch(x, sketch, rank, method):
     return _assemble(x, replace(matrix_id(sketch, rank), method=method))
 
 
-def check_tensor_id_args(x, rank, sketch_dim, method):
-    """Validate the rank/sketch-dimension preconditions of a tensor ID method.
-
-    TensorSketch additionally requires the sketch dimension to stay below
-    the number of tensor entries (sketching up is meaningless there).
-    Returns the sketch dimension, defaulted to rank + 10.
-    """
-    if method not in TENSOR_METHODS:
-        raise ValueError(f"unknown tensor method {method!r}")
-    if not 1 <= rank <= x.rank:
-        raise ValueError(f"rank must be in [1, {x.rank}], got {rank}")
-    if method == "gram":
-        return None
-    sketch_dim = check_sketch_dim(rank, sketch_dim)
-    if method == "tensorsketch" and sketch_dim >= x.total_entries:
-        raise ValueError(
-            f"sketch dimension {sketch_dim} must be < {x.total_entries} tensor entries"
-        )
-    return sketch_dim
-
-
 def decompose(x, method, rank, sketch_dim=None, seed=None):
     """Rank reduction of `x` by any of TENSOR_METHODS, timed.
 
@@ -243,20 +224,20 @@ def decompose(x, method, rank, sketch_dim=None, seed=None):
     validation, sketch and ID.
     """
     t0 = time.perf_counter()
-    sketch_dim = check_tensor_id_args(x, rank, sketch_dim, method)
-    t1 = time.perf_counter()
+    if method not in TENSOR_METHODS:
+        raise ValueError(f"unknown tensor method {method!r}")
+    limit = (x.total_entries, "tensor entries") if method == "tensorsketch" else None
+    sketch_dim = _check_id_args(method, rank, x.rank, sketch_dim, limit)
     if method == "gram":
-        sketch = gram_hadamard(x)
-    else:
-        op_type = TensorSketchOp if method == "tensorsketch" else KrGaussianOp
-        op = op_type(x.mode_dims, sketch_dim, seed=seed)
-        sketch = op.apply(x.factors, x.weights)
-    sketch_seconds = time.perf_counter() - t1
-    if method == "gram":
-        result = gram_tensor_id(x, rank, gram=sketch)
-    else:
-        result = tensor_id_from_sketch(x, sketch, rank, method)
-    return result, sketch_seconds, time.perf_counter() - t0
+        return _sketch_and_id(
+            t0, lambda: gram_hadamard(x), lambda g: gram_tensor_id(x, rank, gram=g)
+        )
+    op_type = TensorSketchOp if method == "tensorsketch" else KrGaussianOp
+    return _sketch_and_id(
+        t0,
+        lambda: op_type(x.mode_dims, sketch_dim, seed=seed).apply(x.factors, x.weights),
+        lambda s: tensor_id_from_sketch(x, s, rank, method),
+    )
 
 
 def tensorsketch_id(x, rank, sketch_dim=None, seed=None):
@@ -284,7 +265,7 @@ def gram_tensor_id(x, rank, gram=None):
     squares the conditioning of the underlying problem, so very small
     residuals are limited to about the square root of machine precision.
     """
-    check_tensor_id_args(x, rank, None, "gram")
+    _check_id_args("gram", rank, x.rank)
     g = gram_hadamard(x) if gram is None else np.asarray(gram, dtype=np.float64)
     perm = cpqr(g, rank)[1]
     # coefficients from the unpivoted QR of the selected Gram rows, with the

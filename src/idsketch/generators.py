@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cp_tensor import CpTensor
+from .linalg import as_csc
 
 NOISE_FLOOR = 1e-8
 
@@ -75,12 +76,7 @@ def gen_synthetic_matrix(rows, cols, rank, density, seed=None):
     u = _sparse_unit_columns(rng, rows, terms, nnz_u)
     v = _sparse_unit_columns(rng, cols, terms, nnz_v)
     sigma = _decay_weights(terms, rank)
-    a = (u @ sp.diags_array(sigma)) @ v.T
-    a = sp.csc_array(a)
-    a.sum_duplicates()
-    a.eliminate_zeros()
-    a.sort_indices()
-    return a
+    return as_csc((u @ sp.diags_array(sigma)) @ v.T)
 
 
 def gen_synthetic_tensor(n_modes, dim, rank, decay_terms, density, seed=None):

@@ -57,6 +57,7 @@ def cpqr(a, rank):
     Pivoting always selects the remaining column of largest norm (ties go to
     the lowest column index), so the diagonal of `r` is nonincreasing in
     absolute value. Q is never formed; an ID reads only `r` and `perm`.
+    Raises FloatingPointError when `r` overflows on finite input.
 
     Parameters
     ----------
@@ -73,7 +74,10 @@ def cpqr(a, rank):
     # (min(rows, cols), cols) triangle; mode="r" would copy a full
     # (rows, cols) triangle out of a tall input
     _, r, perm = scipy.linalg.qr(a, mode="raw", pivoting=True)
-    return np.ascontiguousarray(r[:rank, :]), perm
+    r = np.ascontiguousarray(r[:rank, :])
+    if not np.isfinite(r).all():  # finite input whose column norms overflow
+        raise FloatingPointError("pivoted QR overflowed: R has non-finite entries")
+    return r, perm
 
 
 def triangular_solve(r, b):

@@ -105,38 +105,39 @@ def matrix_id(a, rank):
     return _id_from_pivoted(*cpqr(a, rank), "deterministic")
 
 
-def check_sketch_dim(rank, sketch_dim):
-    """Sketch dimension for a rank-`rank` sketched ID, defaulted to
-    rank + DEFAULT_OVERSAMPLE; a sketch below the rank is rejected."""
+def _check_id_args(method, rank, max_rank, sketch_dim=None, limit=None):
+    """Rank and sketch-dimension rules of every ID method: 1 <= rank <=
+    max_rank; a sketched method also needs rank <= sketch_dim (default
+    rank + DEFAULT_OVERSAMPLE) and, when `limit` = (bound, what it counts)
+    is given, sketch_dim < bound, as a sketch as tall as its input saves
+    nothing. Returns sketch_dim, or None for deterministic and gram."""
+    if not 1 <= rank <= max_rank:
+        raise ValueError(f"rank must be in [1, {max_rank}], got {rank}")
+    if method in ("deterministic", "gram"):
+        return None
     if sketch_dim is None:
         sketch_dim = rank + DEFAULT_OVERSAMPLE
     if sketch_dim < rank:
         raise ValueError(
             f"sketch dimension {sketch_dim} is below the target rank {rank}"
         )
-    return sketch_dim
-
-
-def check_matrix_id_args(a, rank, sketch_dim, method):
-    """Validate the rank/sketch-dimension preconditions of a sketched matrix
-    ID; returns the sketch dimension, defaulted to rank + 10.
-
-    Requires rank <= sketch_dim < rows (a sketch at least as tall as the
-    input is pointless; use the deterministic method instead).
-    """
-    rows, ncols = a.shape
-    limit = min(rows, ncols) if method == "deterministic" else ncols
-    if not 1 <= rank <= limit:
-        raise ValueError(f"rank must be in [1, {limit}], got {rank}")
-    if method == "deterministic":
-        return None
-    sketch_dim = check_sketch_dim(rank, sketch_dim)
-    if sketch_dim >= rows:
+    if limit is not None and sketch_dim >= limit[0]:
         raise ValueError(
-            f"sketch dimension {sketch_dim} must be < {rows} input rows; "
-            "use matrix_id directly instead"
+            f"sketch dimension {sketch_dim} must be < {limit[0]} {limit[1]}"
         )
     return sketch_dim
+
+
+def _sketch_and_id(t0, sketch, finish):
+    """Hand a sketch to its ID: time `sketch()` and return (finish(sketch),
+    sketch_seconds, seconds since `t0`). The input is finite by now, so a
+    non-finite sketch overflowed: FloatingPointError, a numerical failure."""
+    t1 = time.perf_counter()
+    s = sketch()
+    sketch_seconds = time.perf_counter() - t1
+    if not np.isfinite(s).all():
+        raise FloatingPointError("the sketch overflowed: it has non-finite entries")
+    return finish(s), sketch_seconds, time.perf_counter() - t0
 
 
 def matrix_sketch(a, method, sketch_dim, seed=None):
@@ -167,17 +168,16 @@ def decompose(a, method, rank, sketch_dim=None, seed=None):
     t0 = time.perf_counter()
     if method == "deterministic":
         a = as_dense(a.toarray() if sp.issparse(a) else a)
-    else:
-        a = as_csc(a) if sp.issparse(a) else as_dense(a)
-    sketch_dim = check_matrix_id_args(a, rank, sketch_dim, method)
-    sketch_seconds = 0.0
-    target = a
-    if method != "deterministic":
-        t1 = time.perf_counter()
-        target = matrix_sketch(a, method, sketch_dim, seed=seed)
-        sketch_seconds = time.perf_counter() - t1
-    decomp = replace(matrix_id(target, rank), method=method)
-    return decomp, sketch_seconds, time.perf_counter() - t0
+        _check_id_args(method, rank, min(a.shape))
+        return matrix_id(a, rank), 0.0, time.perf_counter() - t0
+    a = as_csc(a) if sp.issparse(a) else as_dense(a)
+    limit = (a.shape[0], "input rows; use matrix_id directly instead")
+    sketch_dim = _check_id_args(method, rank, a.shape[1], sketch_dim, limit)
+    return _sketch_and_id(
+        t0,
+        lambda: matrix_sketch(a, method, sketch_dim, seed=seed),
+        lambda s: replace(matrix_id(s, rank), method=method),
+    )
 
 
 def countsketch_id(a, rank, sketch_dim=None, seed=None):

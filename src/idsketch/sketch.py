@@ -24,6 +24,8 @@ All operators are immutable after construction and safe to share across
 threads; `apply` is reentrant.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy import fft as _fft
@@ -100,7 +102,6 @@ class CountSketchOp:
         sign = rng.integers(0, 2, size=in_dim).astype(np.float64) * 2.0 - 1.0
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
-        self.surjective = bool(surjective)
         self.bucket = bucket.astype(np.int64)
         self.sign = sign
 
@@ -263,7 +264,7 @@ class KrGaussianOp:
 
     @property
     def in_dim(self):
-        return int(np.prod(self.mode_dims))
+        return math.prod(self.mode_dims)
 
     def apply(self, factors, weights=None):
         """Entry (l, r) of the result is weights[r] * prod_n of the inner

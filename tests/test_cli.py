@@ -117,3 +117,19 @@ class TestBench:
         }))
         res = invoke("bench", "tensor", "--config", str(cfg))
         assert res.exit_code == 2
+
+
+def test_id_commands_share_documented_options():
+    # both commands list the same options, each with help text
+    listed = {}
+    for command in ("matrix-id", "tensor-id"):
+        res = invoke(command, "--help")
+        assert res.exit_code == 0, res.output
+        options = main.commands[command].params[1:]
+        assert all(p.help for p in options), command
+        listed[command] = [p.opts for p in options]
+        for p in options:
+            assert p.opts[0] in res.output
+    assert listed["matrix-id"] == listed["tensor-id"]
+    assert [o[0] for o in listed["matrix-id"]] == [
+        "--rank", "--method", "--oversample", "--seed", "--out"]

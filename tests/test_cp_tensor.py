@@ -13,6 +13,7 @@ from idsketch.cp_tensor import (
     save_cp_dir,
     tensorsketch_id,
 )
+from idsketch.generators import gen_synthetic_tensor
 from idsketch.matrix_id import gaussian_id
 from idsketch.sketch import KrGaussianOp
 
@@ -268,6 +269,15 @@ class TestTensorIds:
             tensorsketch_id(x, 2, sketch_dim=9, seed=0)  # sketch dim >= entries
         with pytest.raises(ValueError):
             gaussian_tensor_id(x, 2, sketch_dim=1, seed=0)  # sketch dim < rank
+
+    def test_entry_count_beyond_int64(self):
+        # 65536**4 = 2**64 wrapped to 0 in int64, so a valid tensor was
+        # rejected with "sketch dimension 13 must be < 0 tensor entries"
+        x = gen_synthetic_tensor(4, 65536, 12, 6, 2 / 65536, seed=0)
+        assert x.total_entries == 2**64
+        result = tensorsketch_id(x, 3, seed=0)
+        assert result.rank == 3 and np.isfinite(result.new_weights).all()
+        assert KrGaussianOp([10000] * 5, 13).in_dim == 10**20
 
 
 class TestCpDirFormat:

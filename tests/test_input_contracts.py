@@ -7,12 +7,16 @@ import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
 
-from idsketch.bench import run_tensor_trial
+from idsketch.bench import ExperimentConfig, run_tensor_trial
 from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, _emit, main
 from idsketch.cp_tensor import CpTensor, load_cp_dir, save_cp_dir
 from idsketch.mmio import write_matrix_market
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
+BENCH_CONFIG = {
+    "kind": "matrix", "sizes": [300], "terms": 60, "rank": 8, "sketch_dim": 18,
+    "density": 0.05, "methods": ["countsketch"], "trials": 1, "seed": 1,
+}
 
 
 @pytest.mark.parametrize(
@@ -124,6 +128,51 @@ def test_nonfinite_tensor_error_is_a_numerical_failure(tmp_path, method):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="non-finite error"):
             run_tensor_trial(overflowing_tensor(), method, 3, 13, seed=0)
+
+
+@pytest.mark.parametrize("method", ["deterministic", "gaussian", "srft", "countsketch"])
+def test_overflowing_matrix_is_a_numerical_failure(tmp_path, method):
+    # finite input whose sketch (or, for deterministic, pivoted QR) overflows:
+    # exit 3, where it exited 2 as if the input held non-finite entries
+    signs = np.where(np.random.default_rng(0).random((50, 8)) < 0.5, -1.0, 1.0)
+    mtx = tmp_path / "huge.mtx"
+    write_matrix_market(str(mtx), sp.csc_array(signs * 1.5e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = CliRunner().invoke(
+            main, ["matrix-id", str(mtx), "--rank", "3", "--method", method]
+        )
+    assert res.exit_code == EXIT_NUMERICAL == 3, res.output
+    assert res.output.startswith("numerical failure: ")
+
+
+def test_overflowing_gram_is_a_numerical_failure(tmp_path):
+    # the Gram of finite weights x1e160 overflows: exit 3, not 2
+    save_cp_dir(tmp_path, overflowing_tensor())
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = CliRunner().invoke(
+            main, ["tensor-id", str(tmp_path), "--rank", "3", "--method", "gram"]
+        )
+    assert res.exit_code == EXIT_NUMERICAL == 3, res.output
+    assert res.output.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**BENCH_CONFIG, "trails": 2},
+        {k: v for k, v in BENCH_CONFIG.items() if k != "density"},
+        list(BENCH_CONFIG.values()),
+    ],
+    ids=["unknown-key", "missing-key", "list"],
+)
+def test_malformed_bench_config_is_an_input_error(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match="cfg.json"):
+        ExperimentConfig.from_json(path)
+    res = CliRunner().invoke(main, ["bench", "matrix", "--config", str(path)])
+    assert res.exit_code == EXIT_ARGUMENT == 2, res.output
+    assert res.output.startswith("error: config ")
 
 
 def test_report_with_nan_is_not_written():
