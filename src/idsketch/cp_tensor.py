@@ -22,6 +22,7 @@ from .linalg import as_csc, as_dense, cpqr
 from .matrix_id import (
     InterpolativeDecomposition,
     _check_id_args,
+    _check_sketch_finite,
     _id_from_pivoted,
     _sketch_and_id,
     matrix_id,
@@ -264,9 +265,13 @@ def gram_tensor_id(x, rank, gram=None):
     symmetric-ID construction. Cheap (no sketch) but the Gram matrix
     squares the conditioning of the underlying problem, so very small
     residuals are limited to about the square root of machine precision.
+    A Gram that overflows raises FloatingPointError, as in `decompose`.
     """
     _check_id_args("gram", rank, x.rank)
-    g = gram_hadamard(x) if gram is None else np.asarray(gram, dtype=np.float64)
+    if gram is None:
+        g = _check_sketch_finite(gram_hadamard(x))
+    else:
+        g = np.asarray(gram, dtype=np.float64)
     perm = cpqr(g, rank)[1]
     # coefficients from the unpivoted QR of the selected Gram rows, with the
     # columns in pivot order so the leading block is the selected one

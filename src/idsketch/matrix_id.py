@@ -128,16 +128,22 @@ def _check_id_args(method, rank, max_rank, sketch_dim=None, limit=None):
     return sketch_dim
 
 
+def _check_sketch_finite(s):
+    """The input is finite by the time it is sketched, so a non-finite
+    sketch overflowed: FloatingPointError, a numerical failure."""
+    if not np.isfinite(s).all():
+        raise FloatingPointError("the sketch overflowed: it has non-finite entries")
+    return s
+
+
 def _sketch_and_id(t0, sketch, finish):
-    """Hand a sketch to its ID: time `sketch()` and return (finish(sketch),
-    sketch_seconds, seconds since `t0`). The input is finite by now, so a
-    non-finite sketch overflowed: FloatingPointError, a numerical failure."""
+    """Hand a sketch to its ID: time `sketch()`, check it with
+    `_check_sketch_finite` and return (finish(sketch), sketch_seconds,
+    seconds since `t0`)."""
     t1 = time.perf_counter()
     s = sketch()
     sketch_seconds = time.perf_counter() - t1
-    if not np.isfinite(s).all():
-        raise FloatingPointError("the sketch overflowed: it has non-finite entries")
-    return finish(s), sketch_seconds, time.perf_counter() - t0
+    return finish(_check_sketch_finite(s)), sketch_seconds, time.perf_counter() - t0
 
 
 def matrix_sketch(a, method, sketch_dim, seed=None):
@@ -199,6 +205,7 @@ def gaussian_id(a, rank, sketch_dim=None, seed=None):
 def srft_id(a, rank, sketch_dim=None, seed=None):
     """Randomized ID from a subsampled randomized Fourier sketch of `a`.
 
-    Sparse input is densified in bounded column blocks before the FFT.
+    Sparse input is never densified: only the sampled DFT rows are formed,
+    at its nonzero rows, for O(sketch_dim nnz + rows) work.
     """
     return decompose(a, "srft", rank, sketch_dim, seed)[0]

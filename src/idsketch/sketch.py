@@ -3,8 +3,10 @@
 Every operator here is stored implicitly (hash tables, sign vectors, or a
 seed) and applied without forming the sketching matrix, at the cost the
 sketch family advertises: one pass over the nonzeros for CountSketch, FFTs
-of the exact output length for TensorSketch, full-length mixed-radix FFTs
-for the subsampled Fourier sketch. No operator forms its dense matrix;
+of the exact output length for TensorSketch, and for the subsampled Fourier
+sketch full-length mixed-radix FFTs of dense input but, for sparse input,
+only the sampled DFT rows at the nonzero input rows (a pruned-output DFT,
+Sorensen & Burrus 1993). No operator forms its dense matrix;
 the test suite builds those dense oracles itself (`tests/conftest.py`),
 from the operators' hash arrays and seeds.
 
@@ -30,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import fft as _fft
 
-_SRFT_BLOCK_COLS = 256  # sparse columns densified per FFT block
+_SRFT_BLOCK_COLS = 256  # dense columns per FFT block
+_SRFT_ROW_CHUNK = 8192  # nonzero sparse rows per block of sampled DFT entries
 
 
 def _seed_entropy(seed):
@@ -171,6 +174,12 @@ class SrftOp:
     matrix. Complex sampled rows are returned in a real representation with
     interleaved parts: output rows 2t and 2t+1 hold the real and imaginary
     parts of sampled row t, giving a (2 * out_dim, cols) array.
+
+    Dense input is transformed by FFTs, O(cols I log I). Sparse input never
+    runs a transform: the sampled entries exp(-2 pi i ((k_t n) mod I) / I)
+    sign[n] are formed for its nonzero rows n only and multiplied into the
+    input, O(out_dim nnz + I). The phase index (k_t n) mod I is exact in
+    int64, which bounds the input dimension I below 3.0e9.
     """
 
     def __init__(self, in_dim, out_dim, seed=None):
@@ -185,22 +194,39 @@ class SrftOp:
         self.sample_rows = rng.choice(in_dim, size=out_dim, replace=False)
 
     def apply(self, a):
-        """Sketch `a`; sparse input is densified _SRFT_BLOCK_COLS columns at
-        a time to bound memory."""
+        """Sketch `a`. Dense input is transformed _SRFT_BLOCK_COLS columns at
+        a time. Sparse input is multiplied by the sampled DFT entries of
+        _SRFT_ROW_CHUNK nonzero rows at a time: besides a sign-flipped copy
+        of `a`, the memory is the length-I table of twiddles (16 I bytes)
+        and one (_SRFT_ROW_CHUNK, out_dim) complex block, 14 MB at
+        out_dim = 110, with its int64 phase indices."""
         _check_rows(a, self.in_dim, "SRFT")
+        if sp.issparse(a):
+            return self._apply_sparse(a)
         cols = a.shape[1]
         out = np.empty((2 * self.out_dim, cols))
-        sparse = sp.issparse(a)
         for start in range(0, cols, _SRFT_BLOCK_COLS):
             stop = min(start + _SRFT_BLOCK_COLS, cols)
-            block = a[:, start:stop]
-            if sparse:
-                block = block.toarray()
-            block = self.sign[:, None] * block
+            block = self.sign[:, None] * a[:, start:stop]
             z = _fft.fft(block, axis=0)[self.sample_rows]
             out[0::2, start:stop] = z.real
             out[1::2, start:stop] = z.imag
         return out
+
+    def _apply_sparse(self, a):
+        n = self.in_dim
+        twiddle = np.exp(-2j * np.pi * np.arange(n) / n)
+        freqs = self.sample_rows.astype(np.int64)
+        a = sp.csr_array(sp.diags_array(self.sign) @ a)
+        rows = np.flatnonzero(np.diff(a.indptr))
+        out = np.zeros((a.shape[1], self.out_dim), dtype=np.complex128)
+        for start in range(0, rows.size, _SRFT_ROW_CHUNK):
+            chunk = rows[start:start + _SRFT_ROW_CHUNK]
+            phase = np.outer(chunk, freqs)
+            np.remainder(phase, n, out=phase)  # exact: chunk * freqs < 9.2e18
+            out += a[chunk].T @ twiddle.take(phase)
+        # complex (cols, out_dim) viewed as interleaved (re, im) columns
+        return np.ascontiguousarray(out.view(np.float64).T)
 
 
 def _philox_key(entropy, mode):

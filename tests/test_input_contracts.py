@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from idsketch.bench import ExperimentConfig, run_tensor_trial
 from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, _emit, main
-from idsketch.cp_tensor import CpTensor, load_cp_dir, save_cp_dir
+from idsketch.cp_tensor import CpTensor, decompose, gram_tensor_id, load_cp_dir, save_cp_dir
 from idsketch.mmio import write_matrix_market
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
@@ -154,6 +154,18 @@ def test_overflowing_gram_is_a_numerical_failure(tmp_path):
         )
     assert res.exit_code == EXIT_NUMERICAL == 3, res.output
     assert res.output.startswith("numerical failure: ")
+
+
+def test_overflowing_gram_direct_call_is_a_numerical_failure():
+    # gram_tensor_id computing its own Gram raised ValueError ("a contains
+    # non-finite entries"), blaming the finite input; decompose did not
+    x = overflowing_tensor()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="overflowed") as direct:
+            gram_tensor_id(x, 3)
+        with pytest.raises(FloatingPointError) as timed:
+            decompose(x, "gram", 3)
+    assert str(direct.value) == str(timed.value)
 
 
 @pytest.mark.parametrize(

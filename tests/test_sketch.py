@@ -12,6 +12,8 @@ from idsketch.sketch import (
 )
 
 import idsketch.sketch
+from idsketch.generators import gen_synthetic_matrix
+from idsketch.matrix_id import srft_id
 from conftest import (
     dense_countsketch,
     dense_kr_gaussian,
@@ -167,13 +169,46 @@ class TestSrft:
 
     def test_sparse_blocked_equals_dense(self, monkeypatch):
         rng = np.random.default_rng(17)
-        a = sp.random_array((50, 30), density=0.1, rng=rng, format="csc")
+        dense = rng.standard_normal((50, 30))
+        dense[rng.random(50) < 0.3] = 0.0
+        dense[[0, 25, 49]] = 0.0  # empty first, interior and last rows
+        a = sp.csc_array(dense)
+        nonzero_rows = np.count_nonzero(np.diff(sp.csr_array(a).indptr))
+        assert nonzero_rows % 7 != 0
         op = SrftOp(50, 9, seed=18)
-        whole = op.apply(a.toarray())  # a single block at the default width
-        # 7-column blocks: four full blocks and a partial last one
-        monkeypatch.setattr(idsketch.sketch, "_SRFT_BLOCK_COLS", 7)
+        whole = op.apply(a.toarray())  # the dense FFT path
+        # 7-row chunks of nonzero rows: full chunks and a partial last one
+        monkeypatch.setattr(idsketch.sketch, "_SRFT_ROW_CHUNK", 7)
         blocked = op.apply(a)
         assert np.abs(blocked - whole).max() <= 1e-12
+
+    def test_sparse_zero_input_gives_zero_sketch(self):
+        op = SrftOp(40, 6, seed=30)
+        out = op.apply(sp.csc_array((40, 5)))
+        assert out.shape == (12, 5)
+        assert np.all(out == 0.0)
+
+    def test_sparse_exact_phase_at_prime_length(self):
+        # an unreduced float phase 2 pi k n / N reaches 6e6 rad here, where
+        # one ulp is 1e-9 rad; the integer reduction mod N keeps it exact
+        n = 1_000_003
+        rng = np.random.default_rng(31)
+        rows = np.array([n - 90, n - 61, n - 40, n - 7, n - 1])
+        vals = rng.standard_normal((5, 4))
+        r, c = np.nonzero(np.ones((5, 4)))
+        a = sp.csc_array((vals[r, c], (rows[r], c)), shape=(n, 4))
+        op = SrftOp(n, 3, seed=32)
+        sparse = op.apply(a)
+        dense = op.apply(a.toarray())
+        assert np.abs(sparse - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    def test_sparse_and_dense_select_same_columns(self, seed):
+        a = gen_synthetic_matrix(2000, 500, 100, 0.005, seed=seed)
+        assert sp.issparse(a)
+        sparse = srft_id(a, 100, 110, seed=seed)
+        dense = srft_id(a.toarray(), 100, 110, seed=seed)
+        assert np.array_equal(sparse.cols, dense.cols)
 
     def test_sample_rows_distinct(self):
         op = SrftOp(100, 40, seed=19)
