@@ -5,7 +5,7 @@ per-trial reports plus per-cell summaries."""
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,31 +15,6 @@ from .estimators import est_spectral_norm, id_residual_operator
 from .generators import gen_synthetic_matrix, gen_synthetic_tensor
 from .matrix_id import MATRIX_METHODS
 from .matrix_id import decompose as decompose_matrix
-
-CSV_HEADER = [
-    "kind",
-    "method",
-    "size",
-    "terms",
-    "rank",
-    "sketch_dim",
-    "density",
-    "trial",
-    "seed",
-    "status",
-    "error_estimate",
-    "error_norm_kind",
-    "sketch_time_seconds",
-    "wall_time_seconds",
-    "row_kind",
-    "error_median",
-    "error_mean",
-    "sketch_time_median",
-    "sketch_time_mean",
-    "wall_time_median",
-    "wall_time_mean",
-]
-
 
 @dataclass
 class ExperimentConfig:
@@ -101,6 +76,19 @@ class IdReport:
     error_norm_kind: str = ""
     sketch_time_seconds: float = float("nan")
     wall_time_seconds: float = float("nan")
+
+
+# summary columns: report field -> its statistics over a cell's ok trials
+_SUMMARY_FIELDS = {
+    "error": "error_estimate",
+    "sketch_time": "sketch_time_seconds",
+    "wall_time": "wall_time_seconds",
+}
+_SUMMARY_STATS = {"median": np.median, "mean": np.mean}
+
+CSV_HEADER = [f.name for f in fields(IdReport)] + ["row_kind"] + [
+    f"{name}_{stat}" for name in _SUMMARY_FIELDS for stat in _SUMMARY_STATS
+]
 
 
 def derive_seed(master, *tags):
@@ -212,14 +200,10 @@ def summarize(reports):
             "n_ok": len(ok),
             "n_trials": len(group),
         }
-        for name, attr in (
-            ("error", "error_estimate"),
-            ("sketch_time", "sketch_time_seconds"),
-            ("wall_time", "wall_time_seconds"),
-        ):
+        for name, attr in _SUMMARY_FIELDS.items():
             vals = [getattr(r, attr) for r in ok]
-            row[f"{name}_median"] = float(np.median(vals)) if vals else float("nan")
-            row[f"{name}_mean"] = float(np.mean(vals)) if vals else float("nan")
+            for stat, fn in _SUMMARY_STATS.items():
+                row[f"{name}_{stat}"] = float(fn(vals)) if vals else float("nan")
         out.append(row)
     return out
 

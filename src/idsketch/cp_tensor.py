@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .estimators import _scale_exponent
 from .linalg import as_csc, as_dense, cpqr
 from .matrix_id import (
     InterpolativeDecomposition,
@@ -157,10 +158,22 @@ def gram_hadamard(x):
     return _gram(x.weights, x.factors)
 
 
+def _gram_norm(weights, factors):
+    """Square root of the summed `_gram`, clamped at zero against round-off.
+    The weights are scaled by a power of two first and the root scaled back,
+    which is exact, so weights whose squares overflow or underflow still
+    give the norm; a norm beyond the float64 range raises FloatingPointError."""
+    e = _scale_exponent(weights)
+    total = _gram(np.ldexp(weights, -e), factors).sum()
+    try:
+        return math.ldexp(float(np.sqrt(max(total, 0.0))), e)
+    except OverflowError:
+        raise FloatingPointError("norm beyond the float64 range") from None
+
+
 def cp_norm(x):
     """Exact Frobenius norm of a CP tensor via the Gram Hadamard identity."""
-    total = gram_hadamard(x).sum()
-    return float(np.sqrt(max(total, 0.0)))
+    return _gram_norm(x.weights, x.factors)
 
 
 def _hstack_factors(a, b):
@@ -175,8 +188,7 @@ def cp_diff_norm(x, y):
     """Exact Frobenius norm of the difference of two CP tensors.
 
     Concatenates the terms of `y` with negated weights onto `x` and takes
-    the norm of the combined tensor; a clamp at zero guards round-off
-    before the square root.
+    the norm of the combined tensor.
     """
     if x.mode_dims != y.mode_dims:
         raise ValueError(
@@ -184,8 +196,7 @@ def cp_diff_norm(x, y):
         )
     weights = np.concatenate([x.weights, -y.weights])
     factors = [_hstack_factors(a, b) for a, b in zip(x.factors, y.factors)]
-    total = _gram(weights, factors).sum()
-    return float(np.sqrt(max(total, 0.0)))
+    return _gram_norm(weights, factors)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,14 @@ the test suite builds those dense oracles itself (`tests/conftest.py`),
 from the operators' hash arrays and seeds.
 
 Randomness: operators are seeded independently via `numpy.random.SeedSequence`
-children, so per-mode hash maps are mutually independent. The Gaussian
-sketch is one operator, `KrGaussianOp`; `GaussianOp` is its single-mode
-case. Its values come from a counter-based Philox stream addressed per
-input row (see `_normal_rows`): the span of rows between the first and the
-last nonzero row of the data is drawn in one raw call, and only the
-nonzero rows are turned into normals and multiplied. The draw therefore
-costs at most as much as the dense per-mode factor, and the sketch equals
-a full materialization. Hash-based sketches (CountSketch, TensorSketch)
-replay identically across platforms for a fixed seed; Gaussian streams are
-guaranteed reproducible per build only.
+children, so per-mode hash maps and Gaussian factors are mutually
+independent. The Gaussian sketch is one operator, `KrGaussianOp`;
+`GaussianOp` is its single-mode case. Each mode's dense (I_n, L) factor is
+drawn whole from numpy's generator on the `SeedSequence([seed, n])` child
+on every apply and multiplied into the input, so the sketch equals a full
+materialization. Hash-based sketches (CountSketch, TensorSketch) replay
+identically across platforms for a fixed seed; Gaussian streams are
+reproducible for a fixed seed and numpy version.
 
 All operators are immutable after construction and safe to share across
 threads; `apply` is reentrant.
@@ -58,6 +56,17 @@ def _check_factors(factors, nmodes, weights):
     if weights.shape != (ncols,):
         raise ValueError(f"weights must have length {ncols}, got {weights.shape}")
     return weights
+
+
+def _check_modes(mode_dims, out_dim):
+    """`mode_dims` as a tuple of ints, checked nonempty and, with `out_dim`,
+    positive."""
+    mode_dims = tuple(int(d) for d in mode_dims)
+    if len(mode_dims) == 0:
+        raise ValueError("need at least one mode")
+    if any(d < 1 for d in mode_dims) or out_dim < 1:
+        raise ValueError("dimensions must be positive")
+    return mode_dims
 
 
 def _check_rows(a, in_dim, kind):
@@ -132,18 +141,13 @@ class TensorSketchOp:
     """
 
     def __init__(self, mode_dims, out_dim, seed=None):
-        mode_dims = [int(d) for d in mode_dims]
-        if len(mode_dims) == 0:
-            raise ValueError("need at least one mode")
-        if any(d < 1 for d in mode_dims) or out_dim < 1:
-            raise ValueError("dimensions must be positive")
+        self.mode_dims = _check_modes(mode_dims, out_dim)
         entropy = _seed_entropy(seed)
-        self.mode_dims = tuple(mode_dims)
         self.out_dim = int(out_dim)
         self.seed = entropy
         self.mode_ops = [
             CountSketchOp(d, out_dim, seed=np.random.SeedSequence([entropy, n]))
-            for n, d in enumerate(mode_dims)
+            for n, d in enumerate(self.mode_dims)
         ]
 
     def apply(self, factors, weights=None):
@@ -229,46 +233,6 @@ class SrftOp:
         return np.ascontiguousarray(out.view(np.float64).T)
 
 
-def _philox_key(entropy, mode):
-    return np.random.SeedSequence([entropy, mode]).generate_state(2, np.uint64)
-
-
-def _normal_rows(key, rows, count):
-    """`count` standard normals for each requested row index.
-
-    Row i always yields the same values for a given key no matter which
-    other rows are requested: each row reads a fixed counter range of a
-    Philox stream (one fresh 256-bit counter block per row), and the
-    normals come from Box-Muller over a fixed number of uniforms. The span
-    from the lowest to the highest requested row is drawn in one raw call;
-    only the requested rows go through Box-Muller.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    npairs = (count + 1) // 2
-    per_row = 2 * npairs  # uint64 draws consumed per row
-    blocks = -(-per_row // 4)  # Philox yields 4 uint64 per counter block
-    if rows.size == 0:
-        return np.empty((0, count))
-    first = int(rows.min())
-    span = int(rows.max()) - first + 1
-    bg = np.random.Philox(key=key, counter=first * blocks)
-    raw = bg.random_raw(span * blocks * 4).reshape(span, 4 * blocks)
-    bits = raw[rows - first, :per_row]
-    bits >>= np.uint64(11)
-    u = bits * (2.0 ** -53)
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, :npairs]))
-    angle = (2.0 * np.pi) * u[:, npairs:]
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    return z[:, :count]
-
-
-def _nonzero_rows(a):
-    if sp.issparse(a):
-        counts = np.bincount(sp.csc_array(a).indices, minlength=a.shape[0])
-        return np.flatnonzero(counts)
-    return np.flatnonzero(np.any(np.asarray(a) != 0.0, axis=1))
-
-
 class KrGaussianOp:
     """Gaussian sketch with Khatri-Rao structure: an independent (I_n, L)
     Gaussian factor per mode, applied to CP factors one mode at a time so
@@ -278,15 +242,9 @@ class KrGaussianOp:
     """
 
     def __init__(self, mode_dims, out_dim, seed=None):
-        mode_dims = [int(d) for d in mode_dims]
-        if len(mode_dims) == 0:
-            raise ValueError("need at least one mode")
-        if any(d < 1 for d in mode_dims) or out_dim < 1:
-            raise ValueError("dimensions must be positive")
-        self.mode_dims = tuple(mode_dims)
+        self.mode_dims = _check_modes(mode_dims, out_dim)
         self.out_dim = int(out_dim)
         self.seed = _seed_entropy(seed)
-        self._keys = [_philox_key(self.seed, n) for n in range(len(mode_dims))]
 
     @property
     def in_dim(self):
@@ -295,29 +253,23 @@ class KrGaussianOp:
     def apply(self, factors, weights=None):
         """Entry (l, r) of the result is weights[r] * prod_n of the inner
         product between column l of the mode-n Gaussian factor and column r
-        of factor n. Per mode, the Philox span from the first to the last
-        nonzero row of the factor is drawn and only the nonzero rows become
-        normals: at most the cost of the dense (I_n, out_dim) factor."""
+        of factor n. Each mode's (I_n, out_dim) factor is drawn whole from
+        the generator seeded by SeedSequence([seed, n]) and freed before the
+        next mode's draw, so the memory is one dense factor at a time."""
         weights = _check_factors(factors, len(self.mode_dims), weights)
         out = None
-        for key, dim, factor in zip(self._keys, self.mode_dims, factors):
+        for n, (dim, factor) in enumerate(zip(self.mode_dims, factors)):
             _check_rows(factor, dim, "Khatri-Rao Gaussian sketch")
-            rows = _nonzero_rows(factor)
-            omega_rows = _normal_rows(key, rows, self.out_dim)
-            if sp.issparse(factor):
-                sub = sp.csr_array(factor)[rows]
-            else:
-                sub = np.asarray(factor, dtype=np.float64)[rows]
-            term = omega_rows.T @ sub
+            rng = np.random.default_rng(np.random.SeedSequence([self.seed, n]))
+            term = rng.standard_normal((dim, self.out_dim)).T @ factor
             out = term if out is None else out * term
         return out * weights
 
 
 class GaussianOp(KrGaussianOp):
-    """Dense iid standard normal sketch of shape (out_dim, in_dim),
-    generated lazily from the seed (nothing is stored besides the key):
-    the single-mode KrGaussianOp, so a sparse input draws normals only for
-    its nonzero rows."""
+    """Dense iid standard normal sketch of shape (out_dim, in_dim), drawn
+    from the seed on each apply (nothing is stored besides the seed): the
+    single-mode KrGaussianOp."""
 
     def __init__(self, in_dim, out_dim, seed=None):
         super().__init__([in_dim], out_dim, seed=seed)

@@ -49,31 +49,13 @@ def dense_tensorsketch(op):
     return dense_countsketch(bucket % op.out_dim, sign, op.out_dim)
 
 
-def per_row_normals(key, rows, count):
-    """Reference Gaussian stream: one Philox generator per row at that row's
-    counter block, uniforms from Generator.random, then Box-Muller."""
-    npairs = (count + 1) // 2
-    per_row = 2 * npairs
-    blocks = -(-per_row // 4)
-    out = np.empty((len(rows), count))
-    for t, i in enumerate(rows):
-        bg = np.random.Philox(key=key, counter=int(i) * blocks)
-        u = np.random.Generator(bg).random(per_row)
-        radius = np.sqrt(-2.0 * np.log1p(-u[:npairs]))
-        angle = (2.0 * np.pi) * u[npairs:]
-        out[t] = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
-    return out
-
-
 def dense_kr_gaussian(op):
     """Dense (out_dim, prod(mode_dims)) Khatri-Rao Gaussian operator: the
-    transposed Khatri-Rao product of the per-mode factors, each drawn row by
-    row from the Philox key of (seed, mode)."""
+    transposed Khatri-Rao product of the per-mode factors, each an
+    (I_n, out_dim) standard normal draw from SeedSequence([seed, n])."""
     factors = [
-        per_row_normals(
-            np.random.SeedSequence([op.seed, n]).generate_state(2, np.uint64),
-            range(dim),
-            op.out_dim,
+        np.random.default_rng(np.random.SeedSequence([op.seed, n])).standard_normal(
+            (dim, op.out_dim)
         )
         for n, dim in enumerate(op.mode_dims)
     ]

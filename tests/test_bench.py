@@ -148,6 +148,15 @@ class TestCsv:
         rep = next(r for r in reports if r.method == "countsketch" and str(r.trial) == r0[7])
         assert float(r0[10]) == rep.error_estimate
 
+    def test_header_is_pinned(self):
+        assert CSV_HEADER == [
+            "kind", "method", "size", "terms", "rank", "sketch_dim", "density",
+            "trial", "seed", "status", "error_estimate", "error_norm_kind",
+            "sketch_time_seconds", "wall_time_seconds", "row_kind",
+            "error_median", "error_mean", "sketch_time_median",
+            "sketch_time_mean", "wall_time_median", "wall_time_mean",
+        ]
+
     def test_derive_seed_stable(self):
         assert derive_seed(5, 1, 2, 3) == derive_seed(5, 1, 2, 3)
         assert derive_seed(5, 1, 2, 3) != derive_seed(5, 1, 2, 4)

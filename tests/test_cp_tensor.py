@@ -133,6 +133,29 @@ class TestNorms:
         with pytest.raises(ValueError):
             cp_diff_norm(random_cp(rng, (3, 3), 2), random_cp(rng, (3, 4), 2))
 
+    @pytest.mark.parametrize("norm", ["cp_norm", "cp_diff_norm"])
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_extreme_weight_scale(self, norm, scale):
+        # the squared weights overflow (NaN) or underflow (0.0) in the Gram
+        rng = np.random.default_rng(10)
+        x = random_cp(rng, (4, 3, 5), 4)
+        y = random_cp(rng, (4, 3, 5), 2)
+
+        def value(s):
+            scaled = [CpTensor(t.weights * s, t.factors) for t in (x, y)]
+            if norm == "cp_norm":
+                return cp_norm(scaled[0])
+            return cp_diff_norm(*scaled)
+
+        assert value(scale) / scale == pytest.approx(value(1.0), rel=1e-13)
+
+    def test_norm_beyond_float64_range(self):
+        # two identical unit terms of weight 1.5e308: the norm is 3e308
+        unit = np.zeros((3, 2))
+        unit[0] = 1.0
+        with pytest.raises(FloatingPointError, match="float64 range"):
+            cp_norm(CpTensor([1.5e308, 1.5e308], [unit] * 3))
+
 
 def duplicate_term_tensor(rng, mode_dims, k, total):
     """k independent rank-1 terms; the rest duplicate earlier columns with

@@ -9,7 +9,9 @@ from click.testing import CliRunner
 
 from idsketch.bench import ExperimentConfig, run_tensor_trial
 from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, _emit, main
-from idsketch.cp_tensor import CpTensor, decompose, gram_tensor_id, load_cp_dir, save_cp_dir
+from idsketch.cp_tensor import (
+    CpTensor, cp_norm, decompose, gram_tensor_id, load_cp_dir, save_cp_dir,
+)
 from idsketch.mmio import write_matrix_market
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
@@ -107,27 +109,40 @@ def test_malformed_cp_meta_is_an_input_error(tmp_path, meta):
 
 
 def overflowing_tensor():
-    # finite weights whose squares overflow in the error's weighted Gram
+    # finite weights whose squares overflow in the weighted Gram of the gram method
     rng = np.random.default_rng(0)
     factors = [rng.standard_normal((8, 10)) for _ in range(3)]
     return CpTensor((rng.random(10) + 0.5) * 1e160, factors)
 
 
 @pytest.mark.parametrize("method", ["tensorsketch", "gaussian"])
-def test_nonfinite_tensor_error_is_a_numerical_failure(tmp_path, method):
-    # the reduction succeeds but its error overflows to NaN: exit 3 with no
-    # report, where the CLI exited 0 and wrote "error_estimate": NaN
-    save_cp_dir(tmp_path, overflowing_tensor())
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = CliRunner().invoke(
-            main, ["tensor-id", str(tmp_path), "--rank", "3", "--method", method]
-        )
+def test_nonfinite_tensor_error_is_a_numerical_failure(tmp_path, monkeypatch, method):
+    # the reduction succeeds but its error is NaN: exit 3 with no report,
+    # where the CLI exited 0 and wrote "error_estimate": NaN
+    monkeypatch.setattr("idsketch.bench.cp_diff_norm", lambda x, y: float("nan"))
+    x = CpTensor([1.0, 2.0, 3.0], [np.eye(4, 3)] * 3)
+    save_cp_dir(tmp_path, x)
+    res = CliRunner().invoke(
+        main, ["tensor-id", str(tmp_path), "--rank", "2", "--method", method]
+    )
     assert res.exit_code == EXIT_NUMERICAL == 3, res.output
     assert "numerical failure: non-finite error" in res.output
     assert "NaN" not in res.output
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match="non-finite error"):
-            run_tensor_trial(overflowing_tensor(), method, 3, 13, seed=0)
+    with pytest.raises(FloatingPointError, match="non-finite error"):
+        run_tensor_trial(x, method, 2, 3, seed=0)
+
+
+@pytest.mark.parametrize("method", ["tensorsketch", "gaussian"])
+def test_overflowing_weights_give_a_finite_error(tmp_path, method):
+    # the squared weights overflow in the error's Gram: the error is
+    # computed on power-of-two scaled weights, where it exited 3
+    save_cp_dir(tmp_path, overflowing_tensor())
+    res = CliRunner().invoke(
+        main, ["tensor-id", str(tmp_path), "--rank", "3", "--method", method]
+    )
+    assert res.exit_code == 0, res.output
+    error = json.loads(res.output)["error_estimate"]
+    assert 0.0 < error <= cp_norm(overflowing_tensor())
 
 
 @pytest.mark.parametrize("method", ["deterministic", "gaussian", "srft", "countsketch"])

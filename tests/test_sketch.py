@@ -20,7 +20,6 @@ from conftest import (
     dense_srft,
     dense_tensorsketch,
     khatri_rao,
-    per_row_normals,
 )
 
 
@@ -247,8 +246,8 @@ class TestGaussian:
         )
 
     def test_row_addressable_stream(self):
-        # a sparse factor triggers generation of only its nonzero rows; the
-        # result must match the full per-mode realization exactly
+        # a sparse factor with few nonzero rows sees the same per-mode
+        # factor as a dense one: the result matches the full realization
         rng = np.random.default_rng(0)
         rows = np.array([3, 17, 30])
         factor = np.zeros((40, 2))
@@ -278,14 +277,26 @@ class TestGaussian:
         )
 
     def test_stream_paths_agree(self):
-        # the batched contiguous draw and the per-row draw must realize the
-        # same stream, or sparse and dense inputs would see different operators
-        from idsketch.sketch import _normal_rows, _philox_key
+        # sparse and dense inputs see the same operator: a sparse column
+        # selection gives exactly those columns of the dense identity's sketch
+        op = GaussianOp(50, 7, seed=123)
+        full = op.apply(np.eye(50))
+        subset = op.apply(sp.csc_array(np.eye(50)[:, [0, 3, 49]]))
+        assert np.array_equal(full[:, [0, 3, 49]], subset)
 
-        key = _philox_key(123, 0)
-        full = _normal_rows(key, np.arange(50), 7)
-        subset = _normal_rows(key, np.array([0, 3, 49]), 7)
-        assert np.array_equal(full[[0, 3, 49]], subset)
+
+@pytest.mark.parametrize("op_class", [TensorSketchOp, KrGaussianOp])
+@pytest.mark.parametrize(
+    "mode_dims, out_dim, message",
+    [
+        ([], 4, "need at least one mode"),
+        ([3, 0], 4, "dimensions must be positive"),
+        ([3, 2], 0, "dimensions must be positive"),
+    ],
+)
+def test_mode_dims_checked(op_class, mode_dims, out_dim, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        op_class(mode_dims, out_dim, seed=0)
 
 
 class TestLinearity:
@@ -313,13 +324,50 @@ class TestGaussianStream:
     )
     @pytest.mark.parametrize("count", [1, 4, 7, 9])
     def test_matches_per_row_generators(self, rows, count):
-        from idsketch.sketch import _normal_rows, _philox_key
+        # a sparse input that selects some rows sees exactly those rows of
+        # the full (60, count) draw, whichever other rows it holds
+        draw = np.random.default_rng(
+            np.random.SeedSequence([321, 0])
+        ).standard_normal((60, count))
+        select = sp.csc_array(np.eye(60)[:, rows])
+        out = GaussianOp(60, count, seed=321).apply(select)
+        assert np.array_equal(out, draw[rows].T)
 
-        key = _philox_key(321, 2)
-        rows = np.array(rows)
-        assert np.array_equal(
-            _normal_rows(key, rows, count), per_row_normals(key, rows, count)
-        )
+    def test_factor_is_numpy_standard_normal(self):
+        # the operator is the generator's (in_dim, out_dim) draw, transposed
+        n, out_dim, seed = 30, 7, 37
+        draw = np.random.default_rng(
+            np.random.SeedSequence([seed, 0])
+        ).standard_normal((n, out_dim))
+        assert np.array_equal(GaussianOp(n, out_dim, seed=seed).apply(np.eye(n)), draw.T)
+
+    def test_equal_modes_get_different_factors(self):
+        # with one factor the identity and the other a repeated unit vector,
+        # the sketch is one mode's Gaussian factor scaled row by row; equal
+        # mode factors would make both orders give the same array
+        op = KrGaussianOp([12, 12], 5, seed=38)
+        eye, first = np.eye(12), np.zeros((12, 12))
+        first[0] = 1.0
+        mode0 = op.apply([eye, first])
+        mode1 = op.apply([first, eye])
+        assert np.abs(mode0 - mode1).max() > 0.1
+
+    def test_peak_memory_is_one_factor(self):
+        import tracemalloc
+
+        dim, out_dim = 20000, 50
+        factors = [
+            sp.random_array((dim, 30), density=0.01, format="csc", rng=seed)
+            for seed in range(3)
+        ]
+        op = KrGaussianOp([dim] * 3, out_dim, seed=39)
+        tracemalloc.start()
+        try:
+            op.apply(factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * dim * out_dim * 8
 
     def test_sparse_input_with_zero_rows(self):
         rng = np.random.default_rng(35)
