@@ -5,6 +5,7 @@ per-trial reports plus per-cell summaries."""
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,6 +33,15 @@ class ExperimentConfig:
     n_modes: int = 5  # tensor only
 
     def __post_init__(self):
+        # a wrongly typed field is a TypeError, which from_json reports as
+        # a malformed config
+        for name in ("terms", "rank", "sketch_dim", "trials", "seed", "n_modes"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise TypeError(f"{name} must be an integer")
+        if not isinstance(self.sizes, list) or not all(
+            isinstance(size, numbers.Integral) for size in self.sizes
+        ):
+            raise TypeError("sizes must be a list of integers")
         if self.kind not in ("matrix", "tensor"):
             raise ValueError(f"kind must be 'matrix' or 'tensor', got {self.kind!r}")
         if self.rank > self.sketch_dim:
@@ -54,7 +64,7 @@ class ExperimentConfig:
             data = json.load(fh)
         try:
             return cls(**data)
-        except TypeError as exc:  # not an object, a missing or unknown key
+        except TypeError as exc:  # not an object, a missing, unknown or mistyped key
             raise ValueError(f"config {path}: {exc}") from None
 
 

@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .estimators import _scale_exponent
-from .linalg import as_csc, as_dense, cpqr
+from .linalg import as_matrix, cpqr, dense
 from .matrix_id import (
     InterpolativeDecomposition,
     _check_id_args,
@@ -34,36 +34,22 @@ from .sketch import KrGaussianOp, TensorSketchOp
 TENSOR_METHODS = ("gram", "gaussian", "tensorsketch")
 
 
-def _column_norms(factor):
-    if sp.issparse(factor):
-        return np.sqrt(np.asarray(factor.power(2).sum(axis=0)).ravel())
-    return np.linalg.norm(factor, axis=0)
-
-
-def _scale_columns(factor, scale):
-    if sp.issparse(factor):
-        return as_csc(factor @ sp.diags_array(scale))
-    return factor * scale
-
-
 class CpTensor:
     """CP-format tensor: `weights` (length R, nonnegative) plus one factor
     matrix per mode, each (I_n, R) with unit 2-norm columns.
 
     The constructor normalizes factor columns, folding norms (and the sign
     needed to keep weights nonnegative, applied to the first mode) into the
-    weights. Zero columns contribute weight 0 and get replaced by an
-    arbitrary unit vector. Instances are treated as immutable and are safe
+    weights. Zero columns contribute weight 0 and get replaced by e_0.
+    Weights that overflow once the norms are folded in raise
+    FloatingPointError. Instances are treated as immutable and are safe
     to share across threads.
     """
 
     def __init__(self, weights, factors):
         if len(factors) == 0:
             raise ValueError("need at least one factor matrix")
-        factors = [
-            (as_csc if sp.issparse(f) else as_dense)(f, name=f"factor {n}")
-            for n, f in enumerate(factors)
-        ]
+        factors = [as_matrix(f, name=f"factor {n}") for n, f in enumerate(factors)]
         rank = factors[0].shape[1]
         for n, f in enumerate(factors):
             if f.shape[1] != rank:
@@ -77,23 +63,32 @@ class CpTensor:
             raise ValueError("weights must be finite")
 
         normalized = []
-        for factor in factors:
-            norms = _column_norms(factor)
-            zero = norms == 0.0
-            # columns already unit to round-off are kept bit-identical, so
-            # selecting terms out of a normalized tensor is an exact
-            # column-subset operation
-            norms = np.where(np.abs(norms - 1.0) <= 1e-12, 1.0, norms)
-            if np.any(norms != 1.0):
-                factor = _scale_columns(factor, 1.0 / np.where(zero, 1.0, norms))
-            if zero.any():
-                factor = _set_unit_columns(factor, np.flatnonzero(zero))
-            weights *= np.where(zero, 0.0, norms)
-            normalized.append(factor)
+        # an overflow leaves non-finite weights, which raise below
+        with np.errstate(divide="ignore", over="ignore"):
+            for factor in factors:
+                # not f * f: on a sparse factor that is a sparse-sparse product
+                norms = np.sqrt((factor ** 2).sum(axis=0))
+                zero = norms == 0.0
+                # columns already unit to round-off are kept bit-identical, so
+                # selecting terms out of a normalized tensor is an exact
+                # column-subset operation
+                norms = np.where(np.abs(norms - 1.0) <= 1e-12, 1.0, norms)
+                if np.any(norms != 1.0):
+                    factor = factor * np.where(zero, 0.0, 1.0 / norms)
+                    if zero.any():  # zero columns, scaled by 0, become e_0
+                        cols = np.flatnonzero(zero)
+                        e0 = (np.ones(cols.size), (np.zeros_like(cols), cols))
+                        factor = factor + sp.csc_array(e0, shape=factor.shape)
+                    factor = as_matrix(factor)
+                weights *= norms
+                normalized.append(factor)
+        if not np.isfinite(weights).all():
+            raise FloatingPointError(
+                "weights overflow once the factor column norms are folded in"
+            )
         negative = weights < 0.0
         if negative.any():
-            flip = np.where(negative, -1.0, 1.0)
-            normalized[0] = _scale_columns(normalized[0], flip)
+            normalized[0] = as_matrix(normalized[0] * np.where(negative, -1.0, 1.0))
             weights = np.abs(weights)
 
         self.weights = weights
@@ -120,51 +115,32 @@ class CpTensor:
         return CpTensor(weights, [f[:, cols] for f in self.factors])
 
 
-def _set_unit_columns(factor, cols):
-    if sp.issparse(factor):
-        lil = factor.tolil()
-        for c in cols:
-            lil[:, c] = 0.0
-            lil[0, c] = 1.0
-        return as_csc(lil)
-    factor = factor.copy()
-    factor[:, cols] = 0.0
-    factor[0, cols] = 1.0
-    return factor
-
-
-def _gram(weights, factors):
-    """diag(weights) @ (hadamard of factor Grams) @ diag(weights).
-
-    Weights may be signed here; the public gram_hadamard goes through a
-    CpTensor whose weights are nonnegative.
-    """
-    rank = len(weights)
-    out = np.ones((rank, rank))
-    for factor in factors:
-        if sp.issparse(factor):
-            gram = (factor.T @ factor).toarray()
-        else:
-            gram = factor.T @ factor
-        out *= gram
-    out *= weights[None, :]
-    out *= weights[:, None]
+def _term_gram(factors, others):
+    """Unweighted Gram of the rank-1 terms of two CP tensors of equal mode
+    dimensions: entry (i, j) is the inner product of term i of `factors` with
+    term j of `others`, the elementwise product over modes of the factor
+    cross-Grams, in O(R R' sum_n I_n)."""
+    out = np.ones((factors[0].shape[1], others[0].shape[1]))
+    for f, g in zip(factors, others):
+        out *= dense(f.T @ g)
     return out
 
 
 def gram_hadamard(x):
     """Gram matrix of the flattened weighted rank-1 terms, computed one mode
     at a time in O(R^2 sum_n I_n); symmetric PSD up to round-off."""
-    return _gram(x.weights, x.factors)
+    return _term_gram(x.factors, x.factors) * x.weights * x.weights[:, None]
 
 
-def _gram_norm(weights, factors):
-    """Square root of the summed `_gram`, clamped at zero against round-off.
-    The weights are scaled by a power of two first and the root scaled back,
-    which is exact, so weights whose squares overflow or underflow still
-    give the norm; a norm beyond the float64 range raises FloatingPointError."""
+def _gram_norm(gram, weights):
+    """Square root of the quadratic form of `weights` with the term Gram
+    `gram`, clamped at zero against round-off. The weights are scaled by a
+    power of two first and the root scaled back, which is exact, so weights
+    whose squares overflow or underflow still give the norm; a norm beyond
+    the float64 range raises FloatingPointError."""
     e = _scale_exponent(weights)
-    total = _gram(np.ldexp(weights, -e), factors).sum()
+    w = np.ldexp(weights, -e)
+    total = (gram * w * w[:, None]).sum()
     try:
         return math.ldexp(float(np.sqrt(max(total, 0.0))), e)
     except OverflowError:
@@ -173,30 +149,27 @@ def _gram_norm(weights, factors):
 
 def cp_norm(x):
     """Exact Frobenius norm of a CP tensor via the Gram Hadamard identity."""
-    return _gram_norm(x.weights, x.factors)
-
-
-def _hstack_factors(a, b):
-    if sp.issparse(a) and sp.issparse(b):
-        return sp.hstack([a, b], format="csc")
-    a = a.toarray() if sp.issparse(a) else a
-    b = b.toarray() if sp.issparse(b) else b
-    return np.hstack([a, b])
+    return _gram_norm(_term_gram(x.factors, x.factors), x.weights)
 
 
 def cp_diff_norm(x, y):
     """Exact Frobenius norm of the difference of two CP tensors.
 
-    Concatenates the terms of `y` with negated weights onto `x` and takes
-    the norm of the combined tensor.
+    x - y is the CP tensor of the terms of `x` with weights `x.weights` and
+    the terms of `y` with weights `-y.weights`. Its squared norm is the
+    quadratic form of those weights with the block term Gram
+    [[Gxx, Gxy], [Gxy^T, Gyy]], assembled block by block from `_term_gram`.
+    The signed sum cancels, so its round-off is relative to the norms of
+    `x` and `y`, not to that of the difference.
     """
     if x.mode_dims != y.mode_dims:
         raise ValueError(
             f"mode dimensions disagree: {x.mode_dims} vs {y.mode_dims}"
         )
-    weights = np.concatenate([x.weights, -y.weights])
-    factors = [_hstack_factors(a, b) for a, b in zip(x.factors, y.factors)]
-    return _gram_norm(weights, factors)
+    pairs = [(x, x), (x, y), (y, y)]
+    gxx, gxy, gyy = (_term_gram(a.factors, b.factors) for a, b in pairs)
+    gram = np.block([[gxx, gxy], [gxy.T, gyy]])
+    return _gram_norm(gram, np.concatenate([x.weights, -y.weights]))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Dense matrices are 2-D float64 numpy arrays (kept Fortran-ordered, since
 every algorithm here consumes columns); sparse matrices are scipy CSC.
 The validators below are the entry points that enforce the container
-invariants (finite entries, sorted indices, no stored zeros).
+invariants (finite entries, sorted indices, no stored zeros). `as_matrix`
+and `dense` are the only places that choose between the two containers;
+every other module calls them rather than testing for sparse input itself.
 """
 
 import numpy as np
@@ -47,6 +49,16 @@ def as_csc(a, name="a"):
     if out.nnz and not np.isfinite(out.data).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
+
+
+def as_matrix(a, name="a"):
+    """Validate `a` in its own format: `as_csc` if sparse, else `as_dense`."""
+    return as_csc(a, name) if sp.issparse(a) else as_dense(a, name)
+
+
+def dense(a):
+    """`a` as an ndarray: sparse input densified, anything else as it is."""
+    return a.toarray() if sp.issparse(a) else a
 
 
 def cpqr(a, rank):

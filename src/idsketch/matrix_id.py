@@ -12,9 +12,8 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linalg import as_csc, as_dense, cpqr, triangular_solve
+from .linalg import as_dense, as_matrix, cpqr, dense, triangular_solve
 from .sketch import CountSketchOp, GaussianOp, SrftOp
 
 MATRIX_METHODS = ("deterministic", "gaussian", "srft", "countsketch")
@@ -173,10 +172,10 @@ def decompose(a, method, rank, sketch_dim=None, seed=None):
     """
     t0 = time.perf_counter()
     if method == "deterministic":
-        a = as_dense(a.toarray() if sp.issparse(a) else a)
+        a = as_dense(dense(a))
         _check_id_args(method, rank, min(a.shape))
         return matrix_id(a, rank), 0.0, time.perf_counter() - t0
-    a = as_csc(a) if sp.issparse(a) else as_dense(a)
+    a = as_matrix(a)
     limit = (a.shape[0], "input rows; use matrix_id directly instead")
     sketch_dim = _check_id_args(method, rank, a.shape[1], sketch_dim, limit)
     return _sketch_and_id(

@@ -30,6 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import fft as _fft
 
+from .linalg import dense
+
 _SRFT_BLOCK_COLS = 256  # dense columns per FFT block
 _SRFT_ROW_CHUNK = 8192  # nonzero sparse rows per block of sampled DFT entries
 
@@ -125,10 +127,7 @@ class CountSketchOp:
         s = sp.csr_array(
             (self.sign, (self.bucket, cols)), shape=(self.out_dim, self.in_dim)
         )
-        out = s @ a
-        if sp.issparse(out):
-            out = out.toarray()
-        return np.asarray(out, dtype=np.float64)
+        return np.asarray(dense(s @ a), dtype=np.float64)
 
 
 class TensorSketchOp:

@@ -47,20 +47,27 @@ class TestCpTensor:
         assert np.allclose(dense, -3.0 * np.ones((2, 2)))
 
     def test_zero_column_flagged(self):
-        factors = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2)]
-        x = CpTensor([1.0, 2.0], factors)
-        assert list(np.flatnonzero(x.weights == 0.0)) == [1]
+        # column 1 is zero; column 2's entries square to 0
+        factors = [np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-200]]), np.ones((2, 3))]
+        x = CpTensor([1.0, 2.0, 3.0], factors)
+        assert list(np.flatnonzero(x.weights == 0.0)) == [1, 2]
         assert x.weights[1] == 0.0
         assert np.linalg.norm(densify(x.factors[0])[:, 1]) == pytest.approx(1.0)
+        assert np.array_equal(x.factors[0][:, 1:], [[1.0, 1.0], [0.0, 0.0]])
+        # dense containers stay Fortran-ordered (the linalg invariant)
+        assert all(f.flags.f_contiguous for f in x.factors)
 
     def test_zero_column_sparse_factor(self):
-        factor = sp.csc_array(np.array([[2.0, 0.0], [0.0, 0.0]]))
-        x = CpTensor([1.0, 3.0], [factor, np.eye(2)])
-        assert list(np.flatnonzero(x.weights == 0.0)) == [1]
+        factor = sp.csc_array(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1e-200]]))
+        x = CpTensor([1.0, 3.0, 5.0], [factor, np.ones((2, 3))])
+        assert list(np.flatnonzero(x.weights == 0.0)) == [1, 2]
         assert x.weights[1] == 0.0
         dense = densify(x.factors[0])
         assert np.linalg.norm(dense[:, 1]) == pytest.approx(1.0)
         assert np.linalg.norm(dense[:, 0]) == pytest.approx(1.0)
+        assert np.array_equal(dense[:, 1:], [[1.0, 1.0], [0.0, 0.0]])
+        assert x.factors[0].nnz == 3  # no stored zero left of the 1e-200 entry
+        assert x.factors[1].flags.f_contiguous
 
     def test_column_count_mismatch(self):
         with pytest.raises(ValueError):

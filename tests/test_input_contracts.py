@@ -12,7 +12,7 @@ from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, _emit, main
 from idsketch.cp_tensor import (
     CpTensor, cp_norm, decompose, gram_tensor_id, load_cp_dir, save_cp_dir,
 )
-from idsketch.mmio import write_matrix_market
+from idsketch.mmio import read_matrix_market, write_matrix_market
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
 BENCH_CONFIG = {
@@ -183,21 +183,57 @@ def test_overflowing_gram_direct_call_is_a_numerical_failure():
     assert str(direct.value) == str(timed.value)
 
 
+def overflowing_norms_dir(path):
+    # unit factor columns and finite weights 1.5e308; factor_1 scaled by 4
+    # folds column norms 4 into the weights, beyond the float64 range
+    rng = np.random.default_rng(0)
+    factors = [rng.standard_normal((6, 10)) for _ in range(3)]
+    factors = [f / np.linalg.norm(f, axis=0) for f in factors]
+    save_cp_dir(path, CpTensor(np.full(10, 1.5e308), factors))
+    factor = path / "factor_1.mtx"
+    write_matrix_market(factor, 4.0 * read_matrix_market(factor))
+    return path
+
+
+def test_weights_overflowing_on_load_are_a_numerical_failure(tmp_path):
+    # load_cp_dir returned weights [inf, ...] with only a RuntimeWarning
+    with pytest.raises(FloatingPointError, match="weights"):
+        load_cp_dir(overflowing_norms_dir(tmp_path))
+
+
+@pytest.mark.parametrize("method", ["tensorsketch", "gram"])
+def test_cli_weights_overflowing_on_load_exit_3(tmp_path, method):
+    # the CLI exited 3 blaming the sketch: "the sketch overflowed"
+    res = CliRunner().invoke(
+        main, ["tensor-id", str(overflowing_norms_dir(tmp_path)), "--rank", "3",
+               "--method", method],
+    )
+    assert res.exit_code == EXIT_NUMERICAL == 3, res.output
+    assert res.output.startswith("numerical failure: weights")
+
+
 @pytest.mark.parametrize(
     "config",
     [
         {**BENCH_CONFIG, "trails": 2},
         {k: v for k, v in BENCH_CONFIG.items() if k != "density"},
         list(BENCH_CONFIG.values()),
+        # mistyped fields raised TypeError out of run_experiment (exit 1)
+        {**BENCH_CONFIG, "sizes": 2000},
+        {**BENCH_CONFIG, "sizes": [300.0]},
+        {**BENCH_CONFIG, "trials": 1.5},
+        {**BENCH_CONFIG, "kind": "tensor", "methods": ["gram"], "n_modes": "3"},
     ],
-    ids=["unknown-key", "missing-key", "list"],
+    ids=["unknown-key", "missing-key", "list", "int-sizes", "float-size",
+         "float-trials", "str-n-modes"],
 )
 def test_malformed_bench_config_is_an_input_error(tmp_path, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     with pytest.raises(ValueError, match="cfg.json"):
         ExperimentConfig.from_json(path)
-    res = CliRunner().invoke(main, ["bench", "matrix", "--config", str(path)])
+    kind = config["kind"] if isinstance(config, dict) else "matrix"
+    res = CliRunner().invoke(main, ["bench", kind, "--config", str(path)])
     assert res.exit_code == EXIT_ARGUMENT == 2, res.output
     assert res.output.startswith("error: config ")
 
