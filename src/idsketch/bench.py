@@ -88,6 +88,9 @@ class IdReport:
     wall_time_seconds: float = float("nan")
 
 
+# what the error of each kind of trial measures
+ERROR_NORM_KINDS = {"matrix": "spectral-estimated", "tensor": "frobenius-exact"}
+
 # summary columns: report field -> its statistics over a cell's ok trials
 _SUMMARY_FIELDS = {
     "error": "error_estimate",
@@ -155,10 +158,7 @@ def run_experiment(cfg):
     the run. Summary rows carry the per-cell medians and means over the
     successful trials.
     """
-    if cfg.kind == "matrix":
-        run_trial, norm_kind = run_matrix_trial, "spectral-estimated"
-    else:
-        run_trial, norm_kind = run_tensor_trial, "frobenius-exact"
+    run_trial = run_matrix_trial if cfg.kind == "matrix" else run_tensor_trial
     reports = []
     for size in cfg.sizes:
         data = generate_input(cfg, size)
@@ -180,7 +180,7 @@ def run_experiment(cfg):
                     _, err, st, wall = run_trial(
                         data, method, cfg.rank, cfg.sketch_dim, seed
                     )
-                    report.error_norm_kind = norm_kind
+                    report.error_norm_kind = ERROR_NORM_KINDS[cfg.kind]
                     report.error_estimate = err
                     report.sketch_time_seconds = st
                     report.wall_time_seconds = wall

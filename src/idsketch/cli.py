@@ -14,6 +14,7 @@ import click
 import numpy as np
 
 from .bench import (
+    ERROR_NORM_KINDS,
     ExperimentConfig,
     run_experiment,
     run_matrix_trial,
@@ -23,7 +24,7 @@ from .bench import (
 from .cp_tensor import TENSOR_METHODS, load_cp_dir, save_cp_dir
 from .generators import gen_synthetic_matrix, gen_synthetic_tensor
 from .linalg import SingularTriangleError
-from .matrix_id import DEFAULT_OVERSAMPLE, MATRIX_METHODS
+from .matrix_id import DEFAULT_OVERSAMPLE, MATRIX_METHODS, UNSKETCHED_METHODS
 from .mmio import read_matrix_market, write_matrix_market
 
 EXIT_ARGUMENT = 2
@@ -89,7 +90,7 @@ def _id_report(path, load, run_trial, describe, norm_kind,
         **describe(data),
         "method": method,
         "rank": rank,
-        "sketch_dim": None if method in ("deterministic", "gram") else sketch_dim,
+        "sketch_dim": None if method in UNSKETCHED_METHODS else sketch_dim,
         "seed": seed,
         "error_estimate": err,
         "error_norm_kind": norm_kind,
@@ -107,7 +108,7 @@ def matrix_id_cmd(input_path, **options):
     _run(lambda: _id_report(
         input_path, read_matrix_market, run_matrix_trial,
         lambda a: {"rows": int(a.shape[0]), "cols": int(a.shape[1])},
-        "spectral-estimated", **options,
+        ERROR_NORM_KINDS["matrix"], **options,
     ))
 
 
@@ -120,7 +121,7 @@ def tensor_id_cmd(cp_dir, **options):
     _run(lambda: _id_report(
         cp_dir, load_cp_dir, run_tensor_trial,
         lambda x: {"n_modes": x.ndim, "mode_dims": list(x.mode_dims), "terms": x.rank},
-        "frobenius-exact", **options,
+        ERROR_NORM_KINDS["tensor"], **options,
     ))
 
 

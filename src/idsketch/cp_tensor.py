@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpstrf
 
 from .estimators import _scale_exponent
-from .linalg import as_matrix, cpqr, dense
+from .linalg import as_matrix, dense
 from .matrix_id import (
     InterpolativeDecomposition,
     _check_id_args,
@@ -68,6 +68,12 @@ class CpTensor:
             for factor in factors:
                 # not f * f: on a sparse factor that is a sparse-sparse product
                 norms = np.sqrt((factor ** 2).sum(axis=0))
+                if np.isinf(norms).any():
+                    # squares overflowed: take the norms on each column scaled
+                    # down by its own power of two, which is exact
+                    e = np.maximum(np.frexp(dense(abs(factor).max(axis=0)))[1], 0)
+                    scaled = factor * np.ldexp(1.0, -e)
+                    norms = np.ldexp(np.sqrt((scaled ** 2).sum(axis=0)), e)
                 zero = norms == 0.0
                 # columns already unit to round-off are kept bit-identical, so
                 # selecting terms out of a normalized tensor is an exact
@@ -244,24 +250,22 @@ def gaussian_tensor_id(x, rank, sketch_dim=None, seed=None):
 def gram_tensor_id(x, rank, gram=None):
     """Deterministic rank reduction through the R-by-R Gram matrix.
 
-    Pivots on the Gram matrix through `cpqr` and derives the coefficients
-    from the triangle of an unpivoted QR of the selected rows, per the
-    symmetric-ID construction. Cheap (no sketch) but the Gram matrix
-    squares the conditioning of the underlying problem, so very small
-    residuals are limited to about the square root of machine precision.
-    A Gram that overflows raises FloatingPointError, as in `decompose`.
+    One pivoted Cholesky of the Gram (LAPACK dpstrf) gives the pivots and
+    triangle of column-pivoted QR on the flattened weighted terms, the
+    greedy rule of every sketched method. The Gram squares the
+    conditioning: dpstrf stops once the remaining diagonal falls to
+    sqrt(R * 2**-53) of the first, and later terms count as dependent. A given
+    `gram` must be (R, R); a non-finite Gram raises FloatingPointError.
     """
     _check_id_args("gram", rank, x.rank)
-    if gram is None:
-        g = _check_sketch_finite(gram_hadamard(x))
-    else:
-        g = np.asarray(gram, dtype=np.float64)
-    perm = cpqr(g, rank)[1]
-    # coefficients from the unpivoted QR of the selected Gram rows, with the
-    # columns in pivot order so the leading block is the selected one
-    b = g[:, perm[:rank]].T[:, perm]
-    rt = scipy.linalg.qr(b, mode="r")[0]
-    return _assemble(x, _id_from_pivoted(rt, perm, "gram"))
+    g = gram_hadamard(x) if gram is None else np.asarray(gram, dtype=np.float64)
+    if g.shape != (x.rank, x.rank):
+        raise ValueError(f"gram must have shape {(x.rank, x.rank)}, got {g.shape}")
+    u, piv, computed_rank, _ = dpstrf(_check_sketch_finite(g))
+    # dpstrf leaves the rows past its own computed rank unfactored
+    rt = np.triu(u[:rank])
+    rt[computed_rank:] = 0.0
+    return _assemble(x, _id_from_pivoted(rt, piv - 1, "gram"))
 
 
 def save_cp_dir(path, x):

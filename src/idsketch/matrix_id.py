@@ -19,6 +19,8 @@ from .sketch import CountSketchOp, GaussianOp, SrftOp
 MATRIX_METHODS = ("deterministic", "gaussian", "srft", "countsketch")
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_RANK_TOL = 1e-12
+# the methods that draw no sketch, so take no sketch dimension
+UNSKETCHED_METHODS = ("deterministic", "gram")
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,10 @@ def _check_id_args(method, rank, max_rank, sketch_dim=None, limit=None):
     max_rank; a sketched method also needs rank <= sketch_dim (default
     rank + DEFAULT_OVERSAMPLE) and, when `limit` = (bound, what it counts)
     is given, sketch_dim < bound, as a sketch as tall as its input saves
-    nothing. Returns sketch_dim, or None for deterministic and gram."""
+    nothing. Returns sketch_dim, or None for UNSKETCHED_METHODS."""
     if not 1 <= rank <= max_rank:
         raise ValueError(f"rank must be in [1, {max_rank}], got {rank}")
-    if method in ("deterministic", "gram"):
+    if method in UNSKETCHED_METHODS:
         return None
     if sketch_dim is None:
         sketch_dim = rank + DEFAULT_OVERSAMPLE

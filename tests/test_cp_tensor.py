@@ -14,7 +14,7 @@ from idsketch.cp_tensor import (
     tensorsketch_id,
 )
 from idsketch.generators import gen_synthetic_tensor
-from idsketch.matrix_id import gaussian_id
+from idsketch.matrix_id import gaussian_id, matrix_id
 from idsketch.sketch import KrGaussianOp
 
 from conftest import cp_dense, dense_kr_gaussian, densify, khatri_rao
@@ -68,6 +68,28 @@ class TestCpTensor:
         assert np.array_equal(dense[:, 1:], [[1.0, 1.0], [0.0, 0.0]])
         assert x.factors[0].nnz == 3  # no stored zero left of the 1e-200 entry
         assert x.factors[1].flags.f_contiguous
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_huge_column_normalizes(self, sparse):
+        # the squares of 1e200 overflow: the norm is taken on the column
+        # scaled by its own power of two, where this raised FloatingPointError
+        f = np.array([[1e200, 1.0], [1e200, 0.0]])
+        x = CpTensor([1.0, 2.0], [sp.csc_array(f) if sparse else f, np.ones((2, 2))])
+        assert x.weights == pytest.approx([2e200, 2.0 * np.sqrt(2.0)], rel=1e-15)
+        assert np.allclose(densify(x.factors[0]), [[0.5**0.5, 1.0], [0.5**0.5, 0.0]])
+
+    def test_huge_column_next_to_tiny_and_unit_columns(self):
+        # each column is scaled by its own power of two, so the 1e200 column
+        # does not push its neighbours below the float64 range; the 1e-200
+        # column, whose squares underflow, is a zero column as before, and
+        # the unit column stays bit-identical
+        unit = np.array([0.6, 0.8])
+        f = np.column_stack([[1e200, -1e200], [1e-200, 1e-200], unit])
+        x = CpTensor([1.0, 1.0, 1.0], [f, np.ones((2, 3))])
+        assert x.weights[0] == pytest.approx(2e200, rel=1e-15)
+        assert x.weights[1] == 0.0
+        assert x.weights[2] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert np.array_equal(x.factors[0][:, 2], unit)
 
     def test_column_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -220,6 +242,24 @@ class TestTensorIds:
         x = CpTensor(lam, [q1, q2])
         result = gram_tensor_id(x, 2)
         assert sorted(result.cols) == [1, 3]
+
+    def test_gram_pivots_like_the_flattened_terms(self):
+        # the Gram method picks terms by the rule of column-pivoted QR on the
+        # flattened weighted terms: first the isolated term of weight 1.2,
+        # then the centre of six correlated unit terms. Pivoting on the
+        # norms of the Gram's columns took the centre first, [1, 0], and
+        # counted a tail of weight 1e-6 as dependent
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((30, 8)))[0]
+        near = [q[:, 1] + 0.3 * q[:, k] + 0.05 * q[:, 0] for k in range(2, 7)]
+        mode1 = np.column_stack([q[:, 0], q[:, 1], *near])
+        mode1 /= np.linalg.norm(mode1, axis=0)
+        x = CpTensor([1.2] + [1.0] * 6, [mode1, np.ones((3, 7))])
+        assert list(matrix_id(khatri_rao(x.factors) * x.weights, 2).cols) == [0, 1]
+        assert list(gram_tensor_id(x, 2).cols) == [0, 1]
+        tail = CpTensor([1.0] * 4 + [1e-6] * 2, [q[:, :6], np.ones((3, 6))])
+        flat = khatri_rao(tail.factors) * tail.weights
+        assert matrix_id(flat, 6).numerical_rank == 6
+        assert gram_tensor_id(tail, 6).numerical_rank == 6
 
     def test_new_weights_rederivable(self):
         rng = np.random.default_rng(14)

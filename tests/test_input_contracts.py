@@ -10,7 +10,8 @@ from click.testing import CliRunner
 from idsketch.bench import ExperimentConfig, run_tensor_trial
 from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, _emit, main
 from idsketch.cp_tensor import (
-    CpTensor, cp_norm, decompose, gram_tensor_id, load_cp_dir, save_cp_dir,
+    CpTensor, cp_norm, decompose, gram_hadamard, gram_tensor_id, load_cp_dir,
+    save_cp_dir,
 )
 from idsketch.mmio import read_matrix_market, write_matrix_market
 
@@ -181,6 +182,18 @@ def test_overflowing_gram_direct_call_is_a_numerical_failure():
         with pytest.raises(FloatingPointError) as timed:
             decompose(x, "gram", 3)
     assert str(direct.value) == str(timed.value)
+
+
+def test_bad_gram_argument_is_rejected():
+    # a NaN Gram meets the check a computed Gram meets, where the pivoted
+    # Cholesky alone returns an ID; a 4 x 4 Gram for 5 terms returned one
+    x = CpTensor(np.arange(1.0, 6.0), [np.eye(6, 5)] * 2)
+    g = gram_hadamard(x)
+    g[1, 2] = g[2, 1] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        gram_tensor_id(x, 3, gram=g)
+    with pytest.raises(ValueError, match=r"shape \(5, 5\)"):
+        gram_tensor_id(x, 3, gram=np.eye(4))
 
 
 def overflowing_norms_dir(path):
