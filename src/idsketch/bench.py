@@ -132,9 +132,10 @@ def run_matrix_trial(a, method, rank, sketch_dim, seed):
 
 def run_tensor_trial(x, method, rank, sketch_dim, seed):
     """Reduce `x`, timing the sketch (or Gram) phase separately, and compute
-    the exact Frobenius error of the result."""
+    the exact Frobenius error of the result in the delta form of
+    `cp_diff_norm`, whose term Gram `x` computes once and caches."""
     result, sketch_time, wall = decompose_tensor(x, method, rank, sketch_dim, seed)
-    err = cp_diff_norm(x, result.reduced)
+    err = cp_diff_norm(x, result)
     return result, _finite_error(err), sketch_time, wall
 
 

@@ -12,6 +12,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,9 @@ class CpTensor:
     weights. Zero columns contribute weight 0 and get replaced by e_0.
     Weights that overflow once the norms are folded in raise
     FloatingPointError. Instances are treated as immutable and are safe
-    to share across threads.
+    to share across threads. The unweighted R x R term Gram is computed on
+    first use and cached (`term_gram`), so its R**2 floats live as long as
+    the tensor.
     """
 
     def __init__(self, weights, factors):
@@ -120,6 +123,14 @@ class CpTensor:
         """CP tensor built from the given term indices and new weights."""
         return CpTensor(weights, [f[:, cols] for f in self.factors])
 
+    @cached_property
+    def term_gram(self):
+        """Unweighted Gram of the rank-1 terms, (R, R) and read-only; two
+        threads racing on the first use compute the same array."""
+        gram = _term_gram(self.factors, self.factors)
+        gram.flags.writeable = False
+        return gram
+
 
 def _term_gram(factors, others):
     """Unweighted Gram of the rank-1 terms of two CP tensors of equal mode
@@ -134,7 +145,9 @@ def _term_gram(factors, others):
 
 def gram_hadamard(x):
     """Gram matrix of the flattened weighted rank-1 terms, computed one mode
-    at a time in O(R^2 sum_n I_n); symmetric PSD up to round-off."""
+    at a time in O(R^2 sum_n I_n); symmetric PSD up to round-off. It never
+    reads the cached `x.term_gram`: the Gram method pays for its Gram inside
+    its timed sketch phase."""
     return _term_gram(x.factors, x.factors) * x.weights * x.weights[:, None]
 
 
@@ -155,26 +168,45 @@ def _gram_norm(gram, weights):
 
 def cp_norm(x):
     """Exact Frobenius norm of a CP tensor via the Gram Hadamard identity."""
-    return _gram_norm(_term_gram(x.factors, x.factors), x.weights)
+    return _gram_norm(x.term_gram, x.weights)
 
 
 def cp_diff_norm(x, y):
     """Exact Frobenius norm of the difference of two CP tensors.
 
-    x - y is the CP tensor of the terms of `x` with weights `x.weights` and
+    `y` is a CP tensor or a `TensorIdResult` of `x`.
+
+    For a result, x - y is x's own terms with the weights
+    delta = x.weights - scatter(y.cols, y.new_weights), and the norm is the
+    quadratic form of delta with the cached term Gram of `x`. Its round-off
+    is relative to the norm of the difference. This is the accurate form,
+    and it costs O(R^2) once `x.term_gram` exists. A result of a tensor of
+    another rank or shape raises ValueError.
+
+    For a CP tensor, x - y is the terms of `x` with weights `x.weights` and
     the terms of `y` with weights `-y.weights`. Its squared norm is the
     quadratic form of those weights with the block term Gram
-    [[Gxx, Gxy], [Gxy^T, Gyy]], assembled block by block from `_term_gram`.
-    The signed sum cancels, so its round-off is relative to the norms of
-    `x` and `y`, not to that of the difference.
+    [[Gxx, Gxy], [Gxy^T, Gyy]]. The signed sum cancels: its round-off is
+    relative to the norms of `x` and `y`, not to that of the difference.
+    For reductions of 3-mode rank-200 tensors to 20 terms, with errors near
+    1e-7 of the norm of `x`, it was off by 1e-4 to 3e-2 of the error.
     """
+    if isinstance(y, TensorIdResult):
+        if y.coeffs.shape[1] != x.rank or y.reduced.mode_dims != x.mode_dims:
+            raise ValueError(
+                f"the result reduces a rank-{y.coeffs.shape[1]} tensor of mode "
+                f"dimensions {y.reduced.mode_dims}, not this rank-{x.rank} "
+                f"tensor of {x.mode_dims}"
+            )
+        delta = x.weights.copy()
+        delta[y.cols] -= y.new_weights
+        return _gram_norm(x.term_gram, delta)
     if x.mode_dims != y.mode_dims:
         raise ValueError(
             f"mode dimensions disagree: {x.mode_dims} vs {y.mode_dims}"
         )
-    pairs = [(x, x), (x, y), (y, y)]
-    gxx, gxy, gyy = (_term_gram(a.factors, b.factors) for a, b in pairs)
-    gram = np.block([[gxx, gxy], [gxy.T, gyy]])
+    gxy = _term_gram(x.factors, y.factors)
+    gram = np.block([[x.term_gram, gxy], [gxy.T, y.term_gram]])
     return _gram_norm(gram, np.concatenate([x.weights, -y.weights]))
 
 
@@ -255,13 +287,19 @@ def gram_tensor_id(x, rank, gram=None):
     greedy rule of every sketched method. The Gram squares the
     conditioning: dpstrf stops once the remaining diagonal falls to
     sqrt(R * 2**-53) of the first, and later terms count as dependent. A given
-    `gram` must be (R, R); a non-finite Gram raises FloatingPointError.
+    `gram` must be (R, R); a non-finite Gram, given or overflowed, raises
+    FloatingPointError.
     """
     _check_id_args("gram", rank, x.rank)
-    g = gram_hadamard(x) if gram is None else np.asarray(gram, dtype=np.float64)
-    if g.shape != (x.rank, x.rank):
-        raise ValueError(f"gram must have shape {(x.rank, x.rank)}, got {g.shape}")
-    u, piv, computed_rank, _ = dpstrf(_check_sketch_finite(g))
+    if gram is None:
+        g = _check_sketch_finite(gram_hadamard(x))
+    else:
+        g = np.asarray(gram, dtype=np.float64)
+        if g.shape != (x.rank, x.rank):
+            raise ValueError(f"gram must have shape {(x.rank, x.rank)}, got {g.shape}")
+        if not np.isfinite(g).all():
+            raise FloatingPointError("gram has non-finite entries")
+    u, piv, computed_rank, _ = dpstrf(g)
     # dpstrf leaves the rows past its own computed rank unfactored
     rt = np.triu(u[:rank])
     rt[computed_rank:] = 0.0

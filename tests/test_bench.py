@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from idsketch import cp_tensor
 from idsketch.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -101,6 +102,23 @@ class TestRunExperiment:
         x = generate_input(cfg, 40)
         _, err, _, _ = run_tensor_trial(x, "tensorsketch", 5, 15, row.seed)
         assert err == row.error_estimate
+
+    def test_term_gram_once_per_dataset(self, monkeypatch):
+        # the errors share one term Gram of the dataset; each gram trial still
+        # computes its own inside its timed sketch phase
+        calls = []
+        original = cp_tensor._term_gram
+        monkeypatch.setattr(
+            cp_tensor, "_term_gram", lambda f, g: calls.append(1) or original(f, g)
+        )
+        cfg = ExperimentConfig(
+            kind="tensor", sizes=[20], terms=24, rank=6, sketch_dim=10,
+            density=0.3, methods=["tensorsketch", "gaussian", "gram"], trials=2,
+            seed=5, n_modes=3,
+        )
+        reports, _ = run_experiment(cfg)
+        assert all(r.status == "ok" for r in reports)
+        assert len(calls) == 1 + 2
 
     def test_deterministic_method(self):
         reports, _ = run_experiment(

@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from idsketch.bench import run_tensor_trial
 from idsketch.cp_tensor import (
+    TENSOR_METHODS,
     CpTensor,
+    _gram_norm,
+    _term_gram,
     cp_diff_norm,
     cp_norm,
     gaussian_tensor_id,
@@ -184,6 +190,91 @@ class TestNorms:
         unit[0] = 1.0
         with pytest.raises(FloatingPointError, match="float64 range"):
             cp_norm(CpTensor([1.5e308, 1.5e308], [unit] * 3))
+
+
+class TestDeltaError:
+    """The error of a reduction against x's own terms, delta = x.weights -
+    scatter(cols, new_weights), checked against the dense difference. The
+    block form cancels here: it was off by 1e-4 to 3e-2 of the true error."""
+
+    @pytest.fixture(scope="class")
+    def knee_tensor(self):
+        # 180 terms at the 1e-8 floor: the true error is about sqrt(180) * 1e-8
+        return gen_synthetic_tensor(3, 40, 200, 20, 0.25, seed=0)
+
+    @staticmethod
+    def dense_error(x, reduced, scale=1.0):
+        # divided by the scale first, so no square underflows or overflows
+        return np.linalg.norm((cp_dense(x) - cp_dense(reduced)) / scale) * scale
+
+    @pytest.mark.parametrize("method", TENSOR_METHODS)
+    def test_trial_error_matches_dense(self, knee_tensor, method):
+        x = knee_tensor
+        result, err, _, _ = run_tensor_trial(x, method, 20, 30, seed=1)
+        exact = self.dense_error(x, result.reduced)
+        assert abs(err - exact) <= 1e-9 * exact
+        assert cp_diff_norm(x, result) == err
+
+    @pytest.mark.parametrize("method", TENSOR_METHODS)
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_extreme_weight_scale(self, knee_tensor, method, scale):
+        # the ID of x with every weight scaled: same terms, same coefficients
+        x = knee_tensor
+        result = run_tensor_trial(x, method, 20, 30, seed=1)[0]
+        xs = CpTensor(x.weights * scale, x.factors)
+        v = result.new_weights * scale
+        rs = replace(result, new_weights=v, reduced=xs.select(result.cols, v))
+        exact = self.dense_error(xs, rs.reduced, scale)
+        assert abs(cp_diff_norm(xs, rs) - exact) <= 1e-9 * exact
+
+    def test_negative_new_weights(self):
+        # terms 1 and 2 point against term 0, whose weight is the largest:
+        # the coefficients of the rank-1 ID sum below zero
+        rng = np.random.default_rng(21)
+        factors = [rng.standard_normal((dim, 3)) for dim in (4, 3, 5)]
+        for f in factors:
+            f[:, 1:] = f[:, [0]] + 0.1 * f[:, 1:]
+        factors[0][:, 1:] *= -1.0
+        x = CpTensor([1.0, 0.9, 0.9], factors)
+        result = gram_tensor_id(x, 1)
+        assert list(result.cols) == [0] and result.new_weights[0] < 0.0
+        exact = self.dense_error(x, result.reduced)
+        assert abs(cp_diff_norm(x, result) - exact) <= 1e-12 * exact
+
+    def test_result_of_another_tensor(self):
+        rng = np.random.default_rng(22)
+        x = random_cp(rng, (4, 3, 5), 6)
+        other = gram_tensor_id(random_cp(rng, (4, 3, 5), 5), 2)
+        with pytest.raises(ValueError, match="rank-5"):
+            cp_diff_norm(x, other)
+
+
+class TestTermGramCache:
+    def test_norms_match_the_uncached_block_form(self):
+        rng = np.random.default_rng(23)
+        x = random_cp(rng, (5, 5, 5), 4, sparse=True)
+        y = random_cp(rng, (5, 5, 5), 3)
+        assert cp_norm(x) == _gram_norm(_term_gram(x.factors, x.factors), x.weights)
+        grams = [_term_gram(a.factors, b.factors) for a, b in [(x, x), (x, y), (y, y)]]
+        block = np.block([[grams[0], grams[1]], [grams[1].T, grams[2]]])
+        weights = np.concatenate([x.weights, -y.weights])
+        assert cp_diff_norm(x, y) == _gram_norm(block, weights)
+
+    def test_computed_once_and_read_only(self, monkeypatch):
+        calls = []
+        original = _term_gram
+        monkeypatch.setattr(
+            "idsketch.cp_tensor._term_gram",
+            lambda f, g: calls.append(1) or original(f, g),
+        )
+        x = random_cp(np.random.default_rng(24), (4, 3, 5), 6)
+        for _ in range(3):
+            cp_norm(x)
+            cp_diff_norm(x, gram_tensor_id(x, 2, gram=gram_hadamard(x)))
+        # one cached Gram for every norm; gram_hadamard computes its own
+        assert len(calls) == 1 + 3
+        with pytest.raises(ValueError, match="read-only"):
+            x.term_gram[0, 0] = 0.0
 
 
 def duplicate_term_tensor(rng, mode_dims, k, total):

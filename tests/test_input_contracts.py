@@ -196,6 +196,16 @@ def test_bad_gram_argument_is_rejected():
         gram_tensor_id(x, 3, gram=np.eye(4))
 
 
+def test_nonfinite_gram_argument_is_not_blamed_on_an_overflow():
+    # a caller's non-finite Gram was reported as "the sketch overflowed"
+    x = CpTensor(np.arange(1.0, 6.0), [np.eye(6, 5)] * 2)
+    g = gram_hadamard(x)
+    g[0, 0] = np.inf
+    with pytest.raises(FloatingPointError, match="gram has non-finite") as exc:
+        gram_tensor_id(x, 3, gram=g)
+    assert "overflowed" not in str(exc.value)
+
+
 def overflowing_norms_dir(path):
     # unit factor columns and finite weights 1.5e308; factor_1 scaled by 4
     # folds column norms 4 into the weights, beyond the float64 range
