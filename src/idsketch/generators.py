@@ -76,7 +76,9 @@ def gen_synthetic_matrix(rows, cols, rank, density, seed=None):
     u = _sparse_unit_columns(rng, rows, terms, nnz_u)
     v = _sparse_unit_columns(rng, cols, terms, nnz_v)
     sigma = _decay_weights(terms, rank)
-    return as_csc((u @ sp.diags_array(sigma)) @ v.T)
+    a = (u @ sp.diags_array(sigma)) @ v.T
+    a.sum_duplicates()  # in place, on our own product: as_csc need not copy it
+    return as_csc(a)
 
 
 def gen_synthetic_tensor(n_modes, dim, rank, decay_terms, density, seed=None):

@@ -38,14 +38,17 @@ def as_csc(a, name="a"):
     """Validate `a` as a sparse matrix and return it in canonical CSC form.
 
     Canonical means: float64 values, sorted row indices within each column,
-    duplicates summed, and no explicitly stored zeros.
+    duplicates summed, and no explicitly stored zeros. Canonical input is
+    returned without a copy; `a` itself is never modified.
     """
     if not sp.issparse(a):
         raise ValueError(f"{name} must be a scipy sparse matrix")
     out = sp.csc_array(a, dtype=np.float64)
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    out.sort_indices()
+    if not (out.has_canonical_format and out.data.all()):
+        if a.format == "csc":  # `out` shares a's index arrays
+            out = out.copy()
+        out.sum_duplicates()
+        out.eliminate_zeros()
     if out.nnz and not np.isfinite(out.data).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out

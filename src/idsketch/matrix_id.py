@@ -190,10 +190,11 @@ def decompose(a, method, rank, sketch_dim=None, seed=None):
 def countsketch_id(a, rank, sketch_dim=None, seed=None):
     """Randomized ID from a CountSketch of the rows of `a`.
 
-    The sketch costs one pass over the nonzeros; the ID of the
-    (sketch_dim, cols) sketch then selects the columns. The bucket map is
-    surjective, which keeps the sketch operator itself full rank. The
-    default sketch_dim is rank + 10.
+    The sketch of sparse input is one scatter over the nonzeros,
+    O(nnz + sketch_dim cols) (dense input is multiplied by the sparse +-1
+    matrix); the ID of the (sketch_dim, cols) sketch then selects the
+    columns. The bucket map is surjective, which keeps the sketch operator
+    itself full rank. The default sketch_dim is rank + 10.
     """
     return decompose(a, "countsketch", rank, sketch_dim, seed)[0]
 

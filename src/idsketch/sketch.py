@@ -1,14 +1,21 @@
 """Implicit sketch operators.
 
 Every operator here is stored implicitly (hash tables, sign vectors, or a
-seed) and applied without forming the sketching matrix, at the cost the
-sketch family advertises: one pass over the nonzeros for CountSketch, FFTs
-of the exact output length for TensorSketch, and for the subsampled Fourier
-sketch full-length mixed-radix FFTs of dense input but, for sparse input,
-only the sampled DFT rows at the nonzero input rows (a pruned-output DFT,
-Sorensen & Burrus 1993). No operator forms its dense matrix;
-the test suite builds those dense oracles itself (`tests/conftest.py`),
-from the operators' hash arrays and seeds.
+seed) and applied without forming its dense sketching matrix, at the cost
+its sketch family advertises:
+
+- CountSketch of sparse input: one `np.bincount` scatter over the
+  nonzeros, O(nnz + L cols) time, with an int64 key and a float64 weight
+  per nonzero besides the output. Dense input keeps the product with the
+  sparse +-1 matrix: a scatter over every entry is no faster there and
+  needs 16 bytes per entry.
+- TensorSketch: per-mode CountSketches and FFTs of the exact output length.
+- Subsampled Fourier sketch: full-length mixed-radix FFTs of dense input;
+  for sparse input only the sampled DFT rows at the nonzero input rows (a
+  pruned-output DFT, Sorensen & Burrus 1993).
+
+The test suite builds the dense oracles itself (`tests/conftest.py`), from
+the operators' hash arrays and seeds.
 
 Randomness: operators are seeded independently via `numpy.random.SeedSequence`
 children, so per-mode hash maps and Gaussian factors are mutually
@@ -29,8 +36,6 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy import fft as _fft
-
-from .linalg import dense
 
 _SRFT_BLOCK_COLS = 256  # dense columns per FFT block
 _SRFT_ROW_CHUNK = 8192  # nonzero sparse rows per block of sampled DFT entries
@@ -120,14 +125,37 @@ class CountSketchOp:
         self.sign = sign
 
     def apply(self, a):
-        """Sketch `a` (sparse or dense, in_dim rows); returns a dense array."""
+        """Sketch `a` (sparse or dense, in_dim rows); returns a dense
+        (out_dim, cols) float64 array.
+
+        Sparse input is one `np.bincount` scatter over its nonzeros,
+        out[bucket[i], j] += sign[i] * a[i, j]: O(nnz + out_dim cols) time,
+        and an int64 key and a float64 weight per nonzero. It adds in the
+        order of the product S @ A, ascending input row per output entry,
+        so its bits are that product's; input other than CSC with sorted
+        indices is read as CSR, the form the product reads it in. Dense
+        input keeps the product: a scatter over every entry is no faster
+        there and needs 16 bytes per entry.
+        """
         _check_rows(a, self.in_dim, "CountSketch")
-        # one +-1 entry per column; CSR so S @ A streams over rows of A
-        cols = np.arange(self.in_dim, dtype=np.int64)
-        s = sp.csr_array(
-            (self.sign, (self.bucket, cols)), shape=(self.out_dim, self.in_dim)
+        if not sp.issparse(a):
+            # one +-1 entry per column; CSR so S @ A streams over rows of A
+            cols = np.arange(self.in_dim, dtype=np.int64)
+            s = sp.csr_array(
+                (self.sign, (self.bucket, cols)), shape=(self.out_dim, self.in_dim)
+            )
+            return np.asarray(s @ a, dtype=np.float64)
+        if a.format != "csc" or not a.has_sorted_indices:
+            a = sp.csr_array(a)  # rows ascending, as the product reads them
+        ncols = a.shape[1]
+        major = np.repeat(np.arange(a.indptr.size - 1), np.diff(a.indptr))
+        rows, cols = (a.indices, major) if a.format == "csc" else (major, a.indices)
+        key = self.bucket[rows] * ncols + cols
+        out = np.bincount(
+            key, weights=self.sign[rows] * a.data, minlength=self.out_dim * ncols
         )
-        return np.asarray(dense(s @ a), dtype=np.float64)
+        # with no nonzeros bincount returns integer zeros
+        return out.reshape(self.out_dim, ncols).astype(np.float64, copy=False)
 
 
 class TensorSketchOp:

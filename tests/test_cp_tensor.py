@@ -21,6 +21,7 @@ from idsketch.cp_tensor import (
 )
 from idsketch.generators import gen_synthetic_tensor
 from idsketch.matrix_id import gaussian_id, matrix_id
+from idsketch.mmio import read_matrix_market, write_matrix_market
 from idsketch.sketch import KrGaussianOp
 
 from conftest import cp_dense, dense_kr_gaussian, densify, khatri_rao
@@ -452,13 +453,20 @@ class TestCpDirFormat:
         assert cp_diff_norm(x, y) <= 1e-12 * cp_norm(x)
 
     def test_loader_renormalizes(self, tmp_path):
-        x = CpTensor([2.0], [np.array([[3.0], [4.0]])])
+        x = CpTensor([2.0, 1.0], [np.array([[3.0, 1.0], [4.0, 0.0]]), np.eye(2)])
         save_cp_dir(tmp_path / "cp", x)
-        # tamper: scale the stored factor, the loader must renormalize
-        text = (tmp_path / "cp" / "factor_1.mtx").read_text()
+        # scale the stored mode-1 factor by 5: the loader must move the 5
+        # into the weights and give back unit columns
+        path = tmp_path / "cp" / "factor_1.mtx"
+        write_matrix_market(path, 5.0 * read_matrix_market(path))
+        assert np.allclose(
+            densify(read_matrix_market(path)), 5.0 * densify(x.factors[0]), rtol=0, atol=0
+        )
         y = load_cp_dir(tmp_path / "cp")
-        assert np.linalg.norm(densify(y.factors[0])[:, 0]) == pytest.approx(1.0)
-        assert "factor_1" not in text or True
+        assert np.linalg.norm(densify(y.factors[0]), axis=0) == pytest.approx(1.0, abs=1e-15)
+        assert densify(y.factors[0]) == pytest.approx(densify(x.factors[0]), abs=1e-15)
+        assert y.weights == pytest.approx(5.0 * x.weights, rel=1e-15)
+        assert cp_norm(y) == pytest.approx(5.0 * cp_norm(x), rel=1e-15)
 
     def test_meta_consistency_check(self, tmp_path):
         rng = np.random.default_rng(18)

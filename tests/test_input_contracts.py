@@ -13,6 +13,8 @@ from idsketch.cp_tensor import (
     CpTensor, cp_norm, decompose, gram_hadamard, gram_tensor_id, load_cp_dir,
     save_cp_dir,
 )
+from idsketch.matrix_id import MATRIX_METHODS, countsketch_id
+from idsketch.matrix_id import decompose as matrix_decompose
 from idsketch.mmio import read_matrix_market, write_matrix_market
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
@@ -264,3 +266,55 @@ def test_malformed_bench_config_is_an_input_error(tmp_path, config):
 def test_report_with_nan_is_not_written():
     with pytest.raises(ValueError):
         _emit({"error_estimate": float("nan")}, None)
+
+
+def unsorted_csc_with_zeros(dtype):
+    """300 x 40 CSC of 2400 entries: 60 distinct rows per column in random
+    order, every fifth value an explicit zero."""
+    rng = np.random.default_rng(8)
+    rows = np.concatenate([rng.permutation(300)[:60] for _ in range(40)])
+    values = (rng.standard_normal(2400) * 100).astype(dtype)
+    values[::5] = 0
+    return sp.csc_array((values, rows, np.arange(0, 2401, 60)), shape=(300, 40))
+
+
+def snapshot(a):
+    return a.nnz, a.indices.copy(), a.indptr.copy(), a.data.copy()
+
+
+def assert_unchanged(a, before):
+    nnz, indices, indptr, data = before
+    assert a.nnz == nnz
+    assert np.array_equal(a.indices, indices)
+    assert np.array_equal(a.indptr, indptr)
+    assert np.array_equal(a.data, data)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_countsketch_id_leaves_the_callers_matrix_unchanged(dtype):
+    a = unsorted_csc_with_zeros(dtype)
+    before = snapshot(a)
+    assert before[0] == 2400 and not a.has_sorted_indices
+    d = countsketch_id(a, 5, seed=1)
+    assert_unchanged(a, before)
+    # the ID is that of the canonical matrix
+    canonical = sp.csc_array(a.toarray())
+    assert np.array_equal(d.cols, countsketch_id(canonical, 5, seed=1).cols)
+
+
+@pytest.mark.parametrize("method", MATRIX_METHODS)
+def test_matrix_ids_leave_the_callers_matrix_unchanged(method):
+    a = unsorted_csc_with_zeros(np.float64)
+    before = snapshot(a)
+    matrix_decompose(a, method, 5, seed=1)
+    assert_unchanged(a, before)
+
+
+def test_cp_tensor_leaves_the_callers_factors_unchanged():
+    factors = [unsorted_csc_with_zeros(np.float64), unsorted_csc_with_zeros(np.int64)]
+    before = [snapshot(f) for f in factors]
+    x = CpTensor(np.ones(40), factors)
+    for method in ("tensorsketch", "gaussian", "gram"):
+        decompose(x, method, 5, seed=1)
+    for f, b in zip(factors, before):
+        assert_unchanged(f, b)

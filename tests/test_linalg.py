@@ -110,6 +110,14 @@ class TestValidation:
         col0 = a.indices[a.indptr[0] : a.indptr[1]]
         assert np.all(np.diff(col0) > 0)
 
+    @pytest.mark.parametrize("container", [sp.csc_array, sp.csc_matrix])
+    def test_as_csc_does_not_copy_canonical_input(self, container):
+        rng = np.random.default_rng(4)
+        a = container(sp.random_array((50, 8), density=0.3, rng=rng, format="csc"))
+        out = as_csc(a)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(out, name), getattr(a, name)), name
+
     def test_as_csc_rejects_dense(self):
         with pytest.raises(ValueError):
             as_csc(np.eye(3))

@@ -12,13 +12,14 @@ from idsketch.sketch import (
 )
 
 import idsketch.sketch
-from idsketch.generators import gen_synthetic_matrix
+from idsketch.generators import gen_synthetic_matrix, gen_synthetic_tensor
 from idsketch.matrix_id import srft_id
 from conftest import (
     dense_countsketch,
     dense_kr_gaussian,
     dense_srft,
     dense_tensorsketch,
+    densify,
     khatri_rao,
 )
 
@@ -89,6 +90,143 @@ class TestCountSketch:
         op = CountSketchOp(10, 3, seed=0)
         with pytest.raises(ValueError):
             op.apply(np.eye(9))
+
+
+def product_sketch(op, a):
+    """The CSR +-1 product S @ A, densified: the reference whose bits the
+    sparse scatter of CountSketchOp.apply must reproduce."""
+    s = sp.csr_array(
+        (op.sign, (op.bucket, np.arange(op.in_dim))), shape=(op.out_dim, op.in_dim)
+    )
+    return np.asarray(densify(s @ a), dtype=np.float64)
+
+
+def criterion_1_inputs():
+    """(op, input) pairs of the CountSketches in
+    test_acceptance::test_criterion_1_sketch_oracle_suite: the same draws
+    from the same generator, in the same order."""
+    rng = np.random.default_rng(101)
+    for inst in range(50):
+        rows = int(rng.integers(20, 201))
+        cols = int(rng.integers(2, 51))
+        out_dim = int(rng.integers(2, max(3, rows // 2)))
+        if rng.random() < 0.5:
+            a = sp.random_array((rows, cols), density=0.1, rng=rng, format="csc")
+        else:
+            a = rng.standard_normal((rows, cols))
+        yield CountSketchOp(rows, out_dim, seed=inst), a
+        yield CountSketchOp(rows, out_dim, seed=inst, surjective=True), a
+        n_modes = int(rng.integers(1, 5))
+        dims = [int(rng.integers(2, 13)) for _ in range(n_modes)]
+        r = int(rng.integers(1, 9))
+        factors = [rng.standard_normal((d, r)) for d in dims]
+        rng.random(r)
+        ts_dim = int(rng.integers(2, 33))
+        for op, factor in zip(TensorSketchOp(dims, ts_dim, seed=inst).mode_ops, factors):
+            yield op, factor
+            yield op, sp.csc_array(factor)
+
+
+def criterion_2_inputs():
+    """(op, factor) pairs of the mode CountSketches in
+    test_acceptance::test_criterion_2_tensorsketch_structural_identity, each
+    factor dense and as CSC."""
+    for seed in range(100):
+        rng = np.random.default_rng(1000 + seed)
+        n_modes = 2 if seed % 2 == 0 else 3
+        dims = [int(rng.integers(2, 7)) for _ in range(n_modes)]
+        r = int(rng.integers(1, 6))
+        out_dim = int(rng.integers(2, 17))
+        factors = [rng.standard_normal((d, r)) for d in dims]
+        for op, factor in zip(TensorSketchOp(dims, out_dim, seed=seed).mode_ops, factors):
+            yield op, factor
+            yield op, sp.csc_array(factor)
+
+
+def messy_entries(rng, rows, cols, nnz):
+    """Random (values, row, col) with repeated positions, every fifth value an
+    explicit zero, and magnitudes spread over 16 decades so that a changed
+    order of summation changes the bits."""
+    values = rng.standard_normal(nnz) * 10.0 ** rng.integers(-8, 8, nnz)
+    values[::5] = 0.0
+    return values, rng.integers(0, rows, nnz), rng.integers(0, cols, nnz)
+
+
+def compressed(cls, values, major, minor, shape):
+    """CSC (major = col) or CSR (major = row) holding the entries grouped by
+    major index, in their given order within each group."""
+    order = np.argsort(major, kind="stable")
+    n_major = shape[1] if cls is sp.csc_array else shape[0]
+    indptr = np.searchsorted(major[order], np.arange(n_major + 1))
+    return cls((values[order], minor[order], indptr), shape=shape)
+
+
+def edge_inputs():
+    rng = np.random.default_rng(12)
+    rows, cols = 300, 40
+    values, r, c = messy_entries(rng, rows, cols, 2400)
+    csc = compressed(sp.csc_array, values, c, r, (rows, cols))
+    csr = compressed(sp.csr_array, values, r, c, (rows, cols))
+    by_row = np.lexsort((r, c))  # stable: duplicates keep their order
+    sorted_csc = compressed(sp.csc_array, values[by_row], c[by_row], r[by_row], (rows, cols))
+    assert not csc.has_sorted_indices and not csr.has_sorted_indices
+    assert sorted_csc.has_sorted_indices and not sorted_csc.has_canonical_format
+    canonical = csc.copy()
+    canonical.sum_duplicates()
+    canonical.eliminate_zeros()
+    return {
+        "nnz 0": sp.csc_array((rows, cols)),
+        "nnz 0, no columns": sp.csc_array((rows, 0)),
+        "single column": canonical[:, [3]],
+        "canonical csc": canonical,
+        "csc_matrix": sp.csc_matrix(canonical),
+        "csr": canonical.tocsr(),
+        "coo": sp.coo_array((values, (r, c)), shape=(rows, cols)),
+        "unsorted csc with duplicates and zeros": csc,
+        "unsorted csr with duplicates and zeros": csr,
+        "sorted csc with duplicates and zeros": sorted_csc,
+        "int64 csc": sp.csc_array(np.round(canonical * 1e3).astype(np.int64)),
+        "int64 unsorted csc": compressed(
+            sp.csc_array, rng.integers(-9, 10, 2400), c, r, (rows, cols)
+        ),
+    }
+
+
+class TestCountSketchScatter:
+    """Sparse input is sketched by a bincount scatter; its bits are those of
+    the product S @ A."""
+
+    def test_criterion_1_inputs(self):
+        pairs = list(criterion_1_inputs())
+        assert sum(sp.issparse(a) for _, a in pairs) > 50
+        for op, a in pairs:
+            assert np.array_equal(op.apply(a), product_sketch(op, a))
+
+    def test_criterion_2_inputs(self):
+        for op, a in criterion_2_inputs():
+            assert np.array_equal(op.apply(a), product_sketch(op, a))
+
+    def test_generated_matrix(self):
+        a = gen_synthetic_matrix(2000, 60, 10, 0.05, seed=3)
+        for seed, surjective in [(4, True), (5, False)]:
+            op = CountSketchOp(2000, 20, seed=seed, surjective=surjective)
+            assert np.array_equal(op.apply(a), product_sketch(op, a))
+
+    def test_tensorsketch_modes_of_sparse_cp_factors(self):
+        x = gen_synthetic_tensor(3, 200, 50, 5, density=0.1, seed=2)
+        assert all(sp.issparse(f) for f in x.factors)
+        op = TensorSketchOp(x.mode_dims, 16, seed=4)
+        for mode_op, factor in zip(op.mode_ops, x.factors):
+            assert np.array_equal(mode_op.apply(factor), product_sketch(mode_op, factor))
+
+    @pytest.mark.parametrize("name", list(edge_inputs()))
+    def test_edge_inputs(self, name):
+        a = edge_inputs()[name]
+        for seed in range(5):
+            op = CountSketchOp(a.shape[0], 7, seed=seed)
+            out = op.apply(a)
+            assert out.dtype == np.float64 and out.shape == (7, a.shape[1])
+            assert np.array_equal(out, product_sketch(op, a)), seed
 
 
 class TestTensorSketch:
