@@ -14,7 +14,7 @@ from .cp_tensor import TENSOR_METHODS, cp_diff_norm
 from .cp_tensor import decompose as decompose_tensor
 from .estimators import est_spectral_norm, id_residual_operator
 from .generators import gen_synthetic_matrix, gen_synthetic_tensor
-from .matrix_id import MATRIX_METHODS
+from .matrix_id import MATRIX_METHODS, UNSKETCHED_METHODS
 from .matrix_id import decompose as decompose_matrix
 
 @dataclass
@@ -77,7 +77,7 @@ class IdReport:
     size: int
     terms: int
     rank: int
-    sketch_dim: int
+    sketch_dim: int | None  # None for UNSKETCHED_METHODS
     density: float
     trial: int
     seed: int
@@ -164,6 +164,7 @@ def run_experiment(cfg):
     for size in cfg.sizes:
         data = generate_input(cfg, size)
         for mi, method in enumerate(cfg.methods):
+            sketch_dim = None if method in UNSKETCHED_METHODS else cfg.sketch_dim
             for trial in range(cfg.trials):
                 seed = derive_seed(cfg.seed, 1, size, mi, trial)
                 report = IdReport(
@@ -172,14 +173,14 @@ def run_experiment(cfg):
                     size=size,
                     terms=cfg.terms,
                     rank=cfg.rank,
-                    sketch_dim=cfg.sketch_dim,
+                    sketch_dim=sketch_dim,
                     density=cfg.density,
                     trial=trial,
                     seed=seed,
                 )
                 try:
                     _, err, st, wall = run_trial(
-                        data, method, cfg.rank, cfg.sketch_dim, seed
+                        data, method, cfg.rank, sketch_dim, seed
                     )
                     report.error_norm_kind = ERROR_NORM_KINDS[cfg.kind]
                     report.error_estimate = err

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 on success; 2 on argument/usage errors and bad input,
-including input files with non-finite entries and malformed bench
-configs; 3 on numerical failure during the computation (singular systems,
-floating-point errors, a sketch, Gram or triangle that overflows on finite
-input, an error that is not finite).
+including input files with non-finite or complex entries and malformed
+bench configs; 3 on numerical failure during the computation (singular
+systems, floating-point errors, a sketch, Gram or triangle that overflows
+on finite input, an error that is not finite).
 """
 
 import json
@@ -83,14 +83,14 @@ def _id_report(path, load, run_trial, describe, norm_kind,
                rank, method, oversample, seed, out):
     """Load the input, decompose it and emit the JSON report."""
     data = load(path)
-    sketch_dim = rank + oversample
+    sketch_dim = None if method in UNSKETCHED_METHODS else rank + oversample
     result, err, _, wall = run_trial(data, method, rank, sketch_dim, seed)
     payload = {
         "input": path,
         **describe(data),
         "method": method,
         "rank": rank,
-        "sketch_dim": None if method in UNSKETCHED_METHODS else sketch_dim,
+        "sketch_dim": sketch_dim,
         "seed": seed,
         "error_estimate": err,
         "error_norm_kind": norm_kind,

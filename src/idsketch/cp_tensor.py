@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpstrf
 
-from .estimators import _scale_exponent
+from .estimators import _scaled_root
 from .linalg import as_matrix, dense
 from .matrix_id import (
     InterpolativeDecomposition,
@@ -59,6 +59,8 @@ class CpTensor:
                 raise ValueError(
                     f"factor {n} has {f.shape[1]} columns, expected {rank}"
                 )
+        if np.iscomplexobj(weights):
+            raise ValueError("weights have complex entries; input must be real")
         weights = np.asarray(weights, dtype=np.float64).copy()
         if weights.shape != (rank,):
             raise ValueError(f"weights must have length {rank}")
@@ -152,18 +154,8 @@ def gram_hadamard(x):
 
 
 def _gram_norm(gram, weights):
-    """Square root of the quadratic form of `weights` with the term Gram
-    `gram`, clamped at zero against round-off. The weights are scaled by a
-    power of two first and the root scaled back, which is exact, so weights
-    whose squares overflow or underflow still give the norm; a norm beyond
-    the float64 range raises FloatingPointError."""
-    e = _scale_exponent(weights)
-    w = np.ldexp(weights, -e)
-    total = (gram * w * w[:, None]).sum()
-    try:
-        return math.ldexp(float(np.sqrt(max(total, 0.0))), e)
-    except OverflowError:
-        raise FloatingPointError("norm beyond the float64 range") from None
+    """Overflow-safe root of the quadratic form of `weights` with `gram`."""
+    return _scaled_root(weights, lambda w: (gram * w * w[:, None]).sum())
 
 
 def cp_norm(x):

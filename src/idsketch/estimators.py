@@ -87,15 +87,21 @@ def _scale_exponent(v):
     return math.frexp(peak)[1]
 
 
-def _norm(v):
-    """np.linalg.norm(v), taken on `v` scaled by a power of two so that the
-    sum of squares cannot overflow; a norm beyond the float64 range raises
-    FloatingPointError."""
+def _scaled_root(v, form):
+    """Root of the quadratic form `form` of `v`, clamped at zero against
+    round-off. `form` sees `v` scaled by a power of two, which is exact, so
+    entries whose squares overflow or underflow still give the root; a root
+    beyond the float64 range raises FloatingPointError."""
     e = _scale_exponent(v)
     try:
-        return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+        return math.ldexp(math.sqrt(max(form(np.ldexp(v, -e)), 0.0)), e)
     except OverflowError:
         raise FloatingPointError("norm beyond the float64 range") from None
+
+
+def _norm(v):
+    """np.linalg.norm(v) of a vector, by `_scaled_root`."""
+    return _scaled_root(v, lambda w: w @ w)
 
 
 def _unit(v):

@@ -3,9 +3,10 @@
 Dense matrices are 2-D float64 numpy arrays (kept Fortran-ordered, since
 every algorithm here consumes columns); sparse matrices are scipy CSC.
 The validators below are the entry points that enforce the container
-invariants (finite entries, sorted indices, no stored zeros). `as_matrix`
-and `dense` are the only places that choose between the two containers;
-every other module calls them rather than testing for sparse input itself.
+invariants (real finite entries, sorted indices, no stored zeros). Only
+this module validates and converts containers (`as_matrix`, `dense`);
+elsewhere only the SRFT and CountSketch operators test for sparse input,
+each to pick its kernel for it.
 """
 
 import numpy as np
@@ -20,10 +21,12 @@ class SingularTriangleError(np.linalg.LinAlgError):
 def as_dense(a, name="a"):
     """Validate `a` as a dense matrix and return it as a float64 F-ordered array.
 
-    Raises ValueError for sparse, non-2-D, empty, or non-finite input.
+    Raises ValueError for sparse, complex, non-2-D, empty, or non-finite input.
     """
     if sp.issparse(a):
         raise ValueError(f"{name} must be dense; densify sparse input explicitly")
+    if np.iscomplexobj(a):  # a float64 cast would drop the imaginary part
+        raise ValueError(f"{name} has complex entries; input must be real")
     out = np.asfortranarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={out.ndim}")
@@ -39,10 +42,13 @@ def as_csc(a, name="a"):
 
     Canonical means: float64 values, sorted row indices within each column,
     duplicates summed, and no explicitly stored zeros. Canonical input is
-    returned without a copy; `a` itself is never modified.
+    returned without a copy; `a` itself is never modified. Complex input
+    is a ValueError.
     """
     if not sp.issparse(a):
         raise ValueError(f"{name} must be a scipy sparse matrix")
+    if np.iscomplexobj(a):  # a float64 cast would drop the imaginary part
+        raise ValueError(f"{name} has complex entries; input must be real")
     out = sp.csc_array(a, dtype=np.float64)
     if not (out.has_canonical_format and out.data.all()):
         if a.format == "csc":  # `out` shares a's index arrays

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_dense, as_matrix, cpqr, dense, triangular_solve
+from .linalg import as_matrix, cpqr, dense, triangular_solve
 from .sketch import CountSketchOp, GaussianOp, SrftOp
 
 MATRIX_METHODS = ("deterministic", "gaussian", "srft", "countsketch")
@@ -173,10 +173,8 @@ def decompose(a, method, rank, sketch_dim=None, seed=None):
     wall time covers validation, sketch and ID.
     """
     t0 = time.perf_counter()
-    if method == "deterministic":
-        a = as_dense(dense(a))
-        _check_id_args(method, rank, min(a.shape))
-        return matrix_id(a, rank), 0.0, time.perf_counter() - t0
+    if method == "deterministic":  # cpqr validates the matrix and the rank
+        return matrix_id(dense(a), rank), 0.0, time.perf_counter() - t0
     a = as_matrix(a)
     limit = (a.shape[0], "input rows; use matrix_id directly instead")
     sketch_dim = _check_id_args(method, rank, a.shape[1], sketch_dim, limit)
@@ -190,11 +188,10 @@ def decompose(a, method, rank, sketch_dim=None, seed=None):
 def countsketch_id(a, rank, sketch_dim=None, seed=None):
     """Randomized ID from a CountSketch of the rows of `a`.
 
-    The sketch of sparse input is one scatter over the nonzeros,
-    O(nnz + sketch_dim cols) (dense input is multiplied by the sparse +-1
-    matrix); the ID of the (sketch_dim, cols) sketch then selects the
-    columns. The bucket map is surjective, which keeps the sketch operator
-    itself full rank. The default sketch_dim is rank + 10.
+    The sketch costs O(nnz + sketch_dim cols) (`CountSketchOp.apply`); the
+    ID of the (sketch_dim, cols) sketch then selects the columns. The bucket
+    map is surjective, which keeps the sketch operator itself full rank.
+    The default sketch_dim is rank + 10.
     """
     return decompose(a, "countsketch", rank, sketch_dim, seed)[0]
 

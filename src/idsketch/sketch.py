@@ -4,11 +4,8 @@ Every operator here is stored implicitly (hash tables, sign vectors, or a
 seed) and applied without forming its dense sketching matrix, at the cost
 its sketch family advertises:
 
-- CountSketch of sparse input: one `np.bincount` scatter over the
-  nonzeros, O(nnz + L cols) time, with an int64 key and a float64 weight
-  per nonzero besides the output. Dense input keeps the product with the
-  sparse +-1 matrix: a scatter over every entry is no faster there and
-  needs 16 bytes per entry.
+- CountSketch of sparse input: one scatter over the nonzeros,
+  O(nnz + L cols); see `CountSketchOp.apply`.
 - TensorSketch: per-mode CountSketches and FFTs of the exact output length.
 - Subsampled Fourier sketch: full-length mixed-radix FFTs of dense input;
   for sparse input only the sampled DFT rows at the nonzero input rows (a
@@ -233,18 +230,18 @@ class SrftOp:
         out_dim = 110, with its int64 phase indices."""
         _check_rows(a, self.in_dim, "SRFT")
         if sp.issparse(a):
-            return self._apply_sparse(a)
-        cols = a.shape[1]
-        out = np.empty((2 * self.out_dim, cols))
-        for start in range(0, cols, _SRFT_BLOCK_COLS):
-            stop = min(start + _SRFT_BLOCK_COLS, cols)
-            block = self.sign[:, None] * a[:, start:stop]
-            z = _fft.fft(block, axis=0)[self.sample_rows]
-            out[0::2, start:stop] = z.real
-            out[1::2, start:stop] = z.imag
-        return out
+            z = self._apply_sparse(a)
+        else:
+            z = np.empty((a.shape[1], self.out_dim), dtype=np.complex128)
+            for start in range(0, a.shape[1], _SRFT_BLOCK_COLS):
+                stop = start + _SRFT_BLOCK_COLS
+                block = self.sign[:, None] * a[:, start:stop]
+                z[start:stop] = _fft.fft(block, axis=0)[self.sample_rows].T
+        # complex (cols, out_dim) viewed as interleaved (re, im) output rows
+        return np.ascontiguousarray(z.view(np.float64).T)
 
     def _apply_sparse(self, a):
+        """The complex (cols, out_dim) block of sampled DFT rows of `a`."""
         n = self.in_dim
         twiddle = np.exp(-2j * np.pi * np.arange(n) / n)
         freqs = self.sample_rows.astype(np.int64)
@@ -256,8 +253,7 @@ class SrftOp:
             phase = np.outer(chunk, freqs)
             np.remainder(phase, n, out=phase)  # exact: chunk * freqs < 9.2e18
             out += a[chunk].T @ twiddle.take(phase)
-        # complex (cols, out_dim) viewed as interleaved (re, im) columns
-        return np.ascontiguousarray(out.view(np.float64).T)
+        return out
 
 
 class KrGaussianOp:

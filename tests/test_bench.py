@@ -103,6 +103,29 @@ class TestRunExperiment:
         _, err, _, _ = run_tensor_trial(x, "tensorsketch", 5, 15, row.seed)
         assert err == row.error_estimate
 
+    def test_unsketched_methods_record_no_sketch_dim(self, tmp_path):
+        # a gram trial used to record the config's sketch_dim, which it never uses
+        cfg = ExperimentConfig(
+            kind="tensor", sizes=[20], terms=24, rank=6, sketch_dim=10,
+            density=0.3, methods=["gram", "tensorsketch"], trials=2, seed=5,
+            n_modes=3,
+        )
+        reports, summaries = run_experiment(cfg)
+        assert all(r.status == "ok" for r in reports)
+        expected = {"gram": None, "tensorsketch": 10}
+        assert {r.method: r.sketch_dim for r in reports} == expected
+        assert {s["method"]: s["sketch_dim"] for s in summaries} == expected
+        row = next(r for r in reports if r.method == "gram")
+        _, err, _, _ = run_tensor_trial(
+            generate_input(cfg, 20), row.method, row.rank, row.sketch_dim, row.seed
+        )
+        assert err == row.error_estimate
+        path = tmp_path / "out.csv"
+        write_csv(path, reports, summaries)
+        with open(path, newline="") as fh:
+            cells = {(r["method"], r["sketch_dim"]) for r in csv.DictReader(fh)}
+        assert cells == {("gram", ""), ("tensorsketch", "10")}
+
     def test_term_gram_once_per_dataset(self, monkeypatch):
         # the errors share one term Gram of the dataset; each gram trial still
         # computes its own inside its timed sketch phase

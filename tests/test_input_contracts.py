@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
+from scipy.io import mmwrite
 
 from idsketch.bench import ExperimentConfig, run_tensor_trial
 from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, _emit, main
@@ -72,6 +73,32 @@ def test_cli_nonfinite_matrix_is_an_input_error(tmp_path, method):
     )
     assert res.exit_code == EXIT_ARGUMENT == 2
     assert "error: a contains non-finite entries" in res.output
+
+
+def test_cli_complex_matrix_is_an_input_error(tmp_path):
+    # mmread returns complex128 for this file; the ID of its real part used
+    # to be reported with exit 0
+    vals = np.random.default_rng(3).standard_normal((2, 40, 6))
+    mtx = tmp_path / "complex.mtx"
+    mmwrite(mtx, sp.coo_array(vals[0] + 1j * vals[1]))
+    assert mtx.read_text().startswith(
+        "%%MatrixMarket matrix coordinate complex general"
+    )
+    res = CliRunner().invoke(main, ["matrix-id", str(mtx), "--rank", "2"])
+    assert res.exit_code == EXIT_ARGUMENT == 2
+    assert "error: a has complex entries" in res.output
+
+
+def test_countsketch_id_rejects_complex_input():
+    # it used to decompose the real part, with only a ComplexWarning
+    a = sp.random_array((50, 8), density=0.5, rng=1, format="csc") * (1 + 1j)
+    with pytest.raises(ValueError, match="a has complex entries"):
+        countsketch_id(a, 2)
+
+
+def test_cp_tensor_rejects_complex_weights():
+    with pytest.raises(ValueError, match="weights have complex entries"):
+        CpTensor(np.array([1.0, 2.0j, 3.0]), [np.eye(3), np.eye(3)])
 
 
 def test_cli_error_estimate_beyond_float64_range_exits_3(tmp_path):

@@ -122,6 +122,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_csc(np.eye(3))
 
+    # a float64 cast used to drop the imaginary part with only a ComplexWarning
+    def test_as_dense_rejects_complex(self):
+        with pytest.raises(ValueError, match="a has complex entries"):
+            as_dense(np.array([[1.0 + 2.0j, 3.0], [0.5, 1.0]]))
+
+    def test_as_csc_rejects_complex(self):
+        a = sp.random_array((50, 8), density=0.5, rng=1, format="csc") * (1 + 1j)
+        with pytest.raises(ValueError, match="a has complex entries"):
+            as_csc(a)
+
 
 class TestMatrixMarket:
     def test_sparse_roundtrip_exact(self, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
 from scipy import stats
 
@@ -303,6 +304,19 @@ class TestSrft:
         op = SrftOp(64, 16, seed=16)
         oracle = dense_srft(op.sign, op.sample_rows, 64) @ a
         assert np.abs(op.apply(a) - oracle).max() <= 1e-11
+
+    @pytest.mark.parametrize("shape", [(97, 5), (64, 300), (1000, 513)])
+    def test_dense_output_bits(self, shape):
+        # below, across and past _SRFT_BLOCK_COLS: the blocked transform and
+        # the interleaved (re, im) rows match one whole-matrix FFT bit for bit
+        rows, cols = shape
+        a = np.random.default_rng(cols).standard_normal(shape)
+        op = SrftOp(rows, 17, seed=rows)
+        z = scipy.fft.fft(op.sign[:, None] * a, axis=0)[op.sample_rows]
+        ref = np.empty((2 * op.out_dim, cols))
+        ref[0::2] = z.real
+        ref[1::2] = z.imag
+        assert np.array_equal(op.apply(a), ref)
 
     def test_sparse_blocked_equals_dense(self, monkeypatch):
         rng = np.random.default_rng(17)
