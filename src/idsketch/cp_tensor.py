@@ -12,7 +12,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -139,10 +139,7 @@ def _term_gram(factors, others):
     dimensions: entry (i, j) is the inner product of term i of `factors` with
     term j of `others`, the elementwise product over modes of the factor
     cross-Grams, in O(R R' sum_n I_n)."""
-    out = np.ones((factors[0].shape[1], others[0].shape[1]))
-    for f, g in zip(factors, others):
-        out *= dense(f.T @ g)
-    return out
+    return reduce(np.multiply, (dense(f.T @ g) for f, g in zip(factors, others)))
 
 
 def gram_hadamard(x):
@@ -279,13 +276,15 @@ def gram_tensor_id(x, rank, gram=None):
     greedy rule of every sketched method. The Gram squares the
     conditioning: dpstrf stops once the remaining diagonal falls to
     sqrt(R * 2**-53) of the first, and later terms count as dependent. A given
-    `gram` must be (R, R); a non-finite Gram, given or overflowed, raises
-    FloatingPointError.
+    `gram` must be real and (R, R); a non-finite Gram, given or overflowed,
+    raises FloatingPointError.
     """
     _check_id_args("gram", rank, x.rank)
     if gram is None:
         g = _check_sketch_finite(gram_hadamard(x))
     else:
+        if np.iscomplexobj(gram):
+            raise ValueError("gram has complex entries; input must be real")
         g = np.asarray(gram, dtype=np.float64)
         if g.shape != (x.rank, x.rank):
             raise ValueError(f"gram must have shape {(x.rank, x.rank)}, got {g.shape}")

@@ -1,5 +1,6 @@
 """Malformed input is rejected where it enters, with the documented error."""
 
+import importlib
 import json
 
 import numpy as np
@@ -14,9 +15,14 @@ from idsketch.cp_tensor import (
     CpTensor, cp_norm, decompose, gram_hadamard, gram_tensor_id, load_cp_dir,
     save_cp_dir,
 )
-from idsketch.matrix_id import MATRIX_METHODS, countsketch_id
+from idsketch.generators import gen_synthetic_tensor
+from idsketch.linalg import as_dense, cpqr, triangular_solve
+from idsketch.matrix_id import MATRIX_METHODS, countsketch_id, matrix_sketch
 from idsketch.matrix_id import decompose as matrix_decompose
 from idsketch.mmio import read_matrix_market, write_matrix_market
+from idsketch.sketch import (
+    CountSketchOp, GaussianOp, KrGaussianOp, SrftOp, TensorSketchOp,
+)
 
 BANNER = "%%MatrixMarket matrix coordinate real general\n"
 BENCH_CONFIG = {
@@ -101,6 +107,72 @@ def test_cp_tensor_rejects_complex_weights():
         CpTensor(np.array([1.0, 2.0j, 3.0]), [np.eye(3), np.eye(3)])
 
 
+COMPLEX_INPUT = np.random.default_rng(2).standard_normal((40, 6)) * (1 + 1j)
+REAL_TENSOR = CpTensor(np.arange(1.0, 6.0), [np.eye(6, 5) + 0.1] * 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CountSketchOp(40, 8).apply(COMPLEX_INPUT), "sketch input has"),
+        (lambda: CountSketchOp(40, 8).apply(sp.csc_array(COMPLEX_INPUT)),
+         "sketch input has"),
+        (lambda: SrftOp(40, 8).apply(COMPLEX_INPUT), "sketch input has"),
+        (lambda: GaussianOp(40, 8).apply(COMPLEX_INPUT), "sketch input has"),
+        (lambda: TensorSketchOp([40], 8).apply([COMPLEX_INPUT]), "sketch input has"),
+        (lambda: KrGaussianOp([40], 8).apply([COMPLEX_INPUT.real], np.ones(6) * 1j),
+         "weights have"),
+        (lambda: TensorSketchOp([40], 8).apply([COMPLEX_INPUT.real], np.ones(6) * 1j),
+         "weights have"),
+        (lambda: gram_tensor_id(
+            REAL_TENSOR, 3, gram=gram_hadamard(REAL_TENSOR) * (1 + 1j)), "gram has"),
+    ],
+    ids=["countsketch", "countsketch-sparse", "srft", "gaussian", "tensorsketch",
+         "kr-gaussian-weights", "tensorsketch-weights", "gram"],
+)
+def test_complex_sketch_input_is_rejected(call, message):
+    # each used to sketch or decompose the real part, with at most a
+    # ComplexWarning; the Gaussian sketch returned complex128 and the sparse
+    # CountSketch failed in bincount with a TypeError
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"{message} complex entries; input must be real"
+
+
+# one call per argument rule that no other test reaches
+ARGUMENT_RULES = [
+    (lambda: ExperimentConfig(
+        kind="matrix", sizes=[], terms=10, rank=2, sketch_dim=4, density=0.5,
+        methods=["countsketch"]), "sizes must be nonempty"),
+    (lambda: CpTensor([], []), "need at least one factor matrix"),
+    (lambda: CpTensor([1.0, 2.0], [np.ones((3, 1))]), "weights must have length 1"),
+    (lambda: CpTensor([np.inf], [np.ones((3, 1))]), "weights must be finite"),
+    (lambda: decompose(REAL_TENSOR, "bogus", 2), "unknown tensor method 'bogus'"),
+    (lambda: gen_synthetic_tensor(3, 10, 4, 2, 0.0),
+     "density must be in (0, 1], got 0.0"),
+    (lambda: cpqr(sp.eye_array(3, format="csc"), 1),
+     "a must be dense; densify sparse input explicitly"),
+    (lambda: as_dense(np.ones(3)), "a must be 2-D, got ndim=1"),
+    (lambda: matrix_sketch(np.ones((20, 4)), "bogus", 5),
+     "unknown sketch method 'bogus'"),
+    (lambda: TensorSketchOp([3, 3], 2).apply([np.ones((3, 1))]),
+     "expected 2 factors, got 1"),
+    (lambda: KrGaussianOp([3], 2).apply([np.ones((3, 2))], [1.0]),
+     "weights must have length 2, got (1,)"),
+    (lambda: CountSketchOp(3, 2).apply(np.ones(3)), "sketch input must be 2-D"),
+    (lambda: CountSketchOp(0, 2), "dimensions must be positive"),
+    (lambda: SrftOp(4, 0), "dimensions must be positive"),
+]
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_RULES)
+def test_argument_rule_is_a_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
 def test_cli_error_estimate_beyond_float64_range_exits_3(tmp_path):
     # finite input too close to the float64 limit for the estimator's
     # iterates: a numerical failure (exit 3), where the estimate read 0.0
@@ -160,6 +232,20 @@ def test_nonfinite_tensor_error_is_a_numerical_failure(tmp_path, monkeypatch, me
     assert "NaN" not in res.output
     with pytest.raises(FloatingPointError, match="non-finite error"):
         run_tensor_trial(x, method, 2, 3, seed=0)
+
+
+def test_singular_triangle_is_a_numerical_failure(tmp_path, monkeypatch):
+    # the CLI catches SingularTriangleError as the LinAlgError it subclasses
+    # `idsketch.matrix_id` names the function, so patch the module itself
+    module = importlib.import_module("idsketch.matrix_id")
+    monkeypatch.setattr(
+        module, "triangular_solve", lambda r, b: triangular_solve(np.zeros_like(r), b)
+    )
+    mtx = tmp_path / "a.mtx"
+    write_matrix_market(mtx, np.random.default_rng(3).standard_normal((30, 8)))
+    res = CliRunner().invoke(main, ["matrix-id", str(mtx), "--rank", "2"])
+    assert res.exit_code == EXIT_NUMERICAL == 3, res.output
+    assert "numerical failure: zero diagonal entry at index 0" in res.output
 
 
 @pytest.mark.parametrize("method", ["tensorsketch", "gaussian"])

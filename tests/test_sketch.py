@@ -13,6 +13,7 @@ from idsketch.sketch import (
 )
 
 import idsketch.sketch
+from idsketch.cp_tensor import _term_gram
 from idsketch.generators import gen_synthetic_matrix, gen_synthetic_tensor
 from idsketch.matrix_id import srft_id
 from conftest import (
@@ -435,6 +436,58 @@ class TestGaussian:
         full = op.apply(np.eye(50))
         subset = op.apply(sp.csc_array(np.eye(50)[:, [0, 3, 49]]))
         assert np.array_equal(full[:, [0, 3, 49]], subset)
+
+
+def kernel_factors(mode_dims, cols, sparse, seed):
+    rng = np.random.default_rng(seed)
+    if sparse:
+        return [
+            sp.random_array((d, cols), density=0.3, format="csc", rng=rng)
+            for d in mode_dims
+        ]
+    return [rng.standard_normal((d, cols)) for d in mode_dims]
+
+
+@pytest.mark.parametrize("mode_dims", [[30], [30, 20, 25]])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+class TestKhatriRaoKernels:
+    """Each product over modes matches, bit for bit, the per-mode loop
+    written out in its test."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_kr_gaussian(self, mode_dims, sparse, weighted):
+        factors = kernel_factors(mode_dims, 6, sparse, seed=40)
+        weights = np.random.default_rng(41).random(6) if weighted else None
+        op = KrGaussianOp(mode_dims, 8, seed=42)
+        out = None
+        for n, (dim, factor) in enumerate(zip(mode_dims, factors)):
+            rng = np.random.default_rng(np.random.SeedSequence([op.seed, n]))
+            term = rng.standard_normal((dim, 8)).T @ factor
+            out = term if out is None else out * term
+        expected = out * (np.ones(6) if weights is None else weights)
+        assert np.array_equal(op.apply(factors, weights), expected)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_tensorsketch(self, mode_dims, sparse, weighted):
+        factors = kernel_factors(mode_dims, 6, sparse, seed=43)
+        weights = np.random.default_rng(44).random(6) if weighted else None
+        op = TensorSketchOp(mode_dims, 8, seed=45)
+        spectrum = None
+        for mode_op, factor in zip(op.mode_ops, factors):
+            transform = scipy.fft.rfft(mode_op.apply(factor), axis=0)
+            spectrum = transform if spectrum is None else spectrum * transform
+        expected = scipy.fft.irfft(spectrum, n=8, axis=0) * (
+            np.ones(6) if weights is None else weights
+        )
+        assert np.array_equal(op.apply(factors, weights), expected)
+
+    def test_term_gram(self, mode_dims, sparse):
+        factors = kernel_factors(mode_dims, 6, sparse, seed=46)
+        others = kernel_factors(mode_dims, 4, sparse, seed=47)
+        expected = np.ones((6, 4))
+        for f, g in zip(factors, others):
+            expected *= densify(f.T @ g)
+        assert np.array_equal(_term_gram(factors, others), expected)
 
 
 @pytest.mark.parametrize("op_class", [TensorSketchOp, KrGaussianOp])
