@@ -38,10 +38,14 @@ class ExperimentConfig:
         for name in ("terms", "rank", "sketch_dim", "trials", "seed", "n_modes"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise TypeError(f"{name} must be an integer")
-        if not isinstance(self.sizes, list) or not all(
-            isinstance(size, numbers.Integral) for size in self.sizes
-        ):
-            raise TypeError("sizes must be a list of integers")
+        # a bare string for methods would be read as one-letter method names
+        for name, element, what in (("sizes", numbers.Integral, "integers"),
+                                    ("methods", str, "strings")):
+            items = getattr(self, name)
+            if not isinstance(items, list) or not all(
+                isinstance(v, element) for v in items
+            ):
+                raise TypeError(f"{name} must be a list of {what}")
         if self.kind not in ("matrix", "tensor"):
             raise ValueError(f"kind must be 'matrix' or 'tensor', got {self.kind!r}")
         if self.rank > self.sketch_dim:

@@ -30,17 +30,6 @@ EXIT_ARGUMENT = 2
 EXIT_NUMERICAL = 3
 
 
-def _run(fn):
-    try:
-        fn()
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
-    except (ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ARGUMENT)
-
-
 def _emit(payload, out):
     text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
@@ -50,7 +39,21 @@ def _emit(payload, out):
         click.echo(text)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; it maps every subcommand's errors to exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(EXIT_NUMERICAL)
+        except (ValueError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_ARGUMENT)
+
+
+@click.group(cls=_Main)
 def main():
     """Fast randomized interpolative decomposition of matrices and CP tensors."""
 
@@ -104,11 +107,11 @@ def _id_report(path, load, run_trial, describe, norm_kind,
 @_id_options(MATRIX_METHODS, "countsketch")
 def matrix_id_cmd(input_path, **options):
     """Decompose a Matrix Market file (sparse coordinate or dense array)."""
-    _run(lambda: _id_report(
+    _id_report(
         input_path, read_matrix_market, run_matrix_trial,
         lambda a: {"rows": int(a.shape[0]), "cols": int(a.shape[1])},
         ERROR_NORM_KINDS["matrix"], **options,
-    ))
+    )
 
 
 @main.command("tensor-id")
@@ -117,11 +120,11 @@ def matrix_id_cmd(input_path, **options):
 def tensor_id_cmd(cp_dir, **options):
     """Reduce the rank of a CP tensor stored as a directory
     (meta.json, svalues.txt, factor_*.mtx)."""
-    _run(lambda: _id_report(
+    _id_report(
         cp_dir, load_cp_dir, run_tensor_trial,
         lambda x: {"n_modes": x.ndim, "mode_dims": list(x.mode_dims), "terms": x.rank},
         ERROR_NORM_KINDS["tensor"], **options,
-    ))
+    )
 
 
 @main.command()
@@ -133,25 +136,21 @@ def tensor_id_cmd(cp_dir, **options):
               help="Results CSV path (default: stdout summary only).")
 def bench(kind, config_path, out):
     """Run a benchmark sweep from a config file and emit a results CSV."""
-
-    def go():
-        cfg = ExperimentConfig.from_json(config_path)
-        if cfg.kind != kind:
-            raise ValueError(
-                f"config kind {cfg.kind!r} does not match command argument {kind!r}"
-            )
-        reports, summaries = run_experiment(cfg)
-        if out:
-            write_csv(out, reports, summaries)
-        for s in summaries:
-            click.echo(
-                f"{s['kind']} {s['method']:>12s} size={s['size']:>8d} "
-                f"err_median={s['error_median']:.3e} "
-                f"wall_median={s['wall_time_median']:.4f}s "
-                f"ok={s['n_ok']}/{s['n_trials']}"
-            )
-
-    _run(go)
+    cfg = ExperimentConfig.from_json(config_path)
+    if cfg.kind != kind:
+        raise ValueError(
+            f"config kind {cfg.kind!r} does not match command argument {kind!r}"
+        )
+    reports, summaries = run_experiment(cfg)
+    if out:
+        write_csv(out, reports, summaries)
+    for s in summaries:
+        click.echo(
+            f"{s['kind']} {s['method']:>12s} size={s['size']:>8d} "
+            f"err_median={s['error_median']:.3e} "
+            f"wall_median={s['wall_time_median']:.4f}s "
+            f"ok={s['n_ok']}/{s['n_trials']}"
+        )
 
 
 @main.command()
@@ -170,21 +169,17 @@ def bench(kind, config_path, out):
               help="Output .mtx file (matrix) or CP directory (tensor).")
 def gen(kind, rows, cols, rank, modes, density, seed, out):
     """Generate a synthetic benchmark input and write it to disk."""
-
-    def go():
-        if kind == "matrix":
-            a = gen_synthetic_matrix(rows, cols, rank, density, seed=seed)
-            write_matrix_market(out, a)
-            click.echo(f"wrote {a.shape[0]}x{a.shape[1]} matrix, nnz={a.nnz}, to {out}")
-        else:
-            x = gen_synthetic_tensor(modes, rows, cols, rank, density, seed=seed)
-            save_cp_dir(out, x)
-            click.echo(
-                f"wrote {x.ndim}-mode rank-{x.rank} CP tensor "
-                f"(dims {list(x.mode_dims)}) to {out}"
-            )
-
-    _run(go)
+    if kind == "matrix":
+        a = gen_synthetic_matrix(rows, cols, rank, density, seed=seed)
+        write_matrix_market(out, a)
+        click.echo(f"wrote {a.shape[0]}x{a.shape[1]} matrix, nnz={a.nnz}, to {out}")
+    else:
+        x = gen_synthetic_tensor(modes, rows, cols, rank, density, seed=seed)
+        save_cp_dir(out, x)
+        click.echo(
+            f"wrote {x.ndim}-mode rank-{x.rank} CP tensor "
+            f"(dims {list(x.mode_dims)}) to {out}"
+        )
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ class CpTensor:
 
     The constructor normalizes factor columns, folding norms (and the sign
     needed to keep weights nonnegative, applied to the first mode) into the
-    weights. Zero columns contribute weight 0 and get replaced by e_0.
+    weights. Zero columns contribute weight +0.0 and get replaced by e_0.
     Weights that overflow once the norms are folded in raise
     FloatingPointError. Instances are treated as immutable and are safe
     to share across threads. The unweighted R x R term Gram is computed on
@@ -61,12 +61,14 @@ class CpTensor:
                 )
         if np.iscomplexobj(weights):
             raise ValueError("weights have complex entries; input must be real")
-        weights = np.asarray(weights, dtype=np.float64).copy()
+        weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (rank,):
             raise ValueError(f"weights must have length {rank}")
         if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
 
+        sign = np.where(weights < 0.0, -1.0, 1.0)
+        weights = np.abs(weights)
         normalized = []
         # an overflow leaves non-finite weights, which raise below
         with np.errstate(divide="ignore", over="ignore"):
@@ -84,8 +86,9 @@ class CpTensor:
                 # selecting terms out of a normalized tensor is an exact
                 # column-subset operation
                 norms = np.where(np.abs(norms - 1.0) <= 1e-12, 1.0, norms)
-                if np.any(norms != 1.0):
-                    factor = factor * np.where(zero, 0.0, 1.0 / norms)
+                scale = np.where(zero, 0.0, sign / norms)
+                if np.any(scale != 1.0):
+                    factor = factor * scale
                     if zero.any():  # zero columns, scaled by 0, become e_0
                         cols = np.flatnonzero(zero)
                         e0 = (np.ones(cols.size), (np.zeros_like(cols), cols))
@@ -93,14 +96,11 @@ class CpTensor:
                     factor = as_matrix(factor)
                 weights *= norms
                 normalized.append(factor)
+                sign = 1.0  # the signs go to mode 0 only
         if not np.isfinite(weights).all():
             raise FloatingPointError(
                 "weights overflow once the factor column norms are folded in"
             )
-        negative = weights < 0.0
-        if negative.any():
-            normalized[0] = as_matrix(normalized[0] * np.where(negative, -1.0, 1.0))
-            weights = np.abs(weights)
 
         self.weights = weights
         self.factors = normalized

@@ -53,26 +53,24 @@ def _id_from_pivoted(r, perm, method):
     trapezoidal and `perm` the column permutation with the selected pivots
     first.
 
-    The numerical rank counts the diagonal entries of `r` above
-    DEFAULT_RANK_TOL * |r00| (0 for a zero triangle). Diagonal entries of
-    the leading triangle below that floor are raised to it before the
-    solve, so numerically rank-deficient inputs produce a usable (flagged)
+    The numerical rank counts the diagonal entries of `r` above the floor
+    DEFAULT_RANK_TOL * |r00|, raised to the smallest normal float64 so its
+    reciprocal is finite (0 for a zero triangle). Diagonal entries of the
+    leading triangle below the floor are raised to it before the solve, so
+    numerically rank-deficient inputs produce a usable (flagged)
     decomposition instead of failing.
     """
     rank = r.shape[0]
     diag = np.abs(np.diag(r))
-    floor = DEFAULT_RANK_TOL * diag[0]
+    floor = max(DEFAULT_RANK_TOL * diag[0], np.finfo(np.float64).tiny)
     numerical_rank = int(np.count_nonzero(diag > floor))
-    deficient = numerical_rank < rank
     if diag[0] == 0.0:
         # zero input: any column set works, coefficients carry no information
         t = np.zeros((rank, perm.size - rank))
     else:
-        r11 = r[:, :rank]
-        if deficient:
-            r11 = r11.copy()
-            small = np.flatnonzero(diag < floor)
-            r11[small, small] = np.where(r11[small, small] < 0.0, -floor, floor)
+        r11 = r[:, :rank].copy()
+        small = np.flatnonzero(diag < floor)
+        r11[small, small] = np.where(r11[small, small] < 0.0, -floor, floor)
         t = triangular_solve(r11, r[:, rank:])
     coeffs = np.zeros((rank, perm.size))
     coeffs[np.arange(rank), perm[:rank]] = 1.0
@@ -83,7 +81,7 @@ def _id_from_pivoted(r, perm, method):
         rank=rank,
         method=method,
         numerical_rank=numerical_rank,
-        rank_deficient=deficient,
+        rank_deficient=numerical_rank < rank,
     )
 
 

@@ -60,6 +60,17 @@ class TestMatrixId:
         payload = json.loads(res.output)
         assert payload["error_estimate"] <= 1e-9
 
+    def test_tiny_input_exit_code(self, tmp_path):
+        # NaN coefficients from a subnormal floor in the solve made this exit 3
+        rng2, rng3 = np.random.default_rng(2), np.random.default_rng(3)
+        a = rng2.standard_normal((60, 3)) @ rng3.standard_normal((3, 15))
+        mtx = tmp_path / "tiny.mtx"
+        write_matrix_market(mtx, a * 2.0**-990)
+        res = invoke("matrix-id", str(mtx), "--rank", "6")
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)["id"]
+        assert payload["numerical_rank"] == 3 and payload["rank_deficient"]
+
     def test_argument_error_exit_code(self, tmp_path):
         mtx = tmp_path / "m.mtx"
         invoke("gen", "matrix", "--rows", "100", "--cols", "40", "--rank", "5",

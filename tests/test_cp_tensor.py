@@ -53,6 +53,40 @@ class TestCpTensor:
         dense = cp_dense(x)
         assert np.allclose(dense, -3.0 * np.ones((2, 2)))
 
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_zero_column_weight_is_positive_zero(self, mode):
+        # the sign of a negative weight was taken after the zero column had
+        # scaled it to -0.0, which is not negative, so -0.0 stayed
+        factors = [np.random.default_rng(3).standard_normal((4, 3)), np.ones((4, 3))]
+        factors[mode][:, 1] = 0.0
+        x = CpTensor([1.0, -2.0, 3.0], factors)
+        assert x.weights[1] == 0.0
+        assert not np.signbit(x.weights).any()
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_negative_weights_flip_mode_0(self, sparse):
+        # per column: divide by the norm (1 within 1e-12 of 1), fold the
+        # norms into |weight| and the sign of the weight into mode 0; on
+        # quarter-integer entries each column's sum of squares is exact in
+        # any order, so the norms do not depend on the container's sum
+        rng = np.random.default_rng(4)
+        f0 = rng.integers(-8, 9, (5, 4)) / 4.0
+        f0[:, 2] = [0.6, 0.8, 0.0, 0.0, 0.0]  # unit: only the sign changes
+        f1 = rng.integers(-8, 9, (6, 4)) / 4.0
+        weights = np.array([-1.5, 2.0, -0.25, -3.0])
+        x = CpTensor(weights, [sp.csc_array(f0) if sparse else f0, f1])
+        expected_weights = np.abs(weights)
+        for mode, f in enumerate([f0, f1]):
+            expected = np.empty_like(f)
+            for j in range(f.shape[1]):
+                norm = np.sqrt(np.sum(f[:, j] ** 2))
+                norm = 1.0 if abs(norm - 1.0) <= 1e-12 else norm
+                sign = -1.0 if mode == 0 and weights[j] < 0.0 else 1.0
+                expected[:, j] = f[:, j] * (sign / norm)
+                expected_weights[j] *= norm
+            assert np.array_equal(densify(x.factors[mode]), expected), mode
+        assert np.array_equal(x.weights, expected_weights)
+
     def test_zero_column_flagged(self):
         # column 1 is zero; column 2's entries square to 0
         factors = [np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-200]]), np.ones((2, 3))]
@@ -419,6 +453,8 @@ class TestTensorIds:
         assert result.rank_deficient
         assert result.numerical_rank == 0
         assert np.array_equal(result.coeffs[:, result.cols], np.eye(3))
+        # the zero triangle gets zero coefficients, not a solve that signs them
+        assert not np.signbit(result.coeffs).any()
         assert np.all(result.reduced.weights == 0.0)
         assert cp_diff_norm(x, result.reduced) == 0.0
 

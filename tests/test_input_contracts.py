@@ -361,9 +361,12 @@ def test_cli_weights_overflowing_on_load_exit_3(tmp_path, method):
         {**BENCH_CONFIG, "sizes": [300.0]},
         {**BENCH_CONFIG, "trials": 1.5},
         {**BENCH_CONFIG, "kind": "tensor", "methods": ["gram"], "n_modes": "3"},
+        # a bare string was read as methods 'c', 'o', ...: "unknown matrix
+        # method 'c'", a ValueError that did not name the config
+        {**BENCH_CONFIG, "methods": "countsketch"},
     ],
     ids=["unknown-key", "missing-key", "list", "int-sizes", "float-size",
-         "float-trials", "str-n-modes"],
+         "float-trials", "str-n-modes", "str-methods"],
 )
 def test_malformed_bench_config_is_an_input_error(tmp_path, config):
     path = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from idsketch.generators import gen_synthetic_matrix
 from idsketch.matrix_id import (
     countsketch_id,
+    decompose,
     gaussian_id,
     matrix_id,
     srft_id,
@@ -75,6 +76,19 @@ class TestDeterministic:
             assert d.rank_deficient, d.method
             assert d.numerical_rank == 0, d.method
             assert np.array_equal(d.coeffs[:, d.cols], np.eye(2))
+
+    @pytest.mark.parametrize("method", ["deterministic", "countsketch"])
+    def test_floor_stays_normal_on_tiny_input(self, method):
+        # every entry is normal, but |r00| is near 1e-297, so the floor
+        # 1e-12 |r00| was subnormal: its reciprocal overflowed in the solve
+        # and 36 coefficients came back NaN
+        rng2, rng3 = np.random.default_rng(2), np.random.default_rng(3)
+        a = rng2.standard_normal((60, 3)) @ rng3.standard_normal((3, 15))
+        base = decompose(a, method, 6, seed=1)[0]
+        d = decompose(a * 2.0**-990, method, 6, seed=1)[0]
+        assert np.isfinite(d.coeffs).all()
+        assert np.array_equal(d.cols, base.cols)
+        assert d.numerical_rank == 3 and d.rank_deficient
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
