@@ -30,7 +30,7 @@ from .matrix_id import (
     matrix_id,
 )
 from .mmio import read_matrix_market, write_matrix_market
-from .sketch import KrGaussianOp, TensorSketchOp
+from .sketch import KrGaussianOp, TensorSketchOp, _check_factors
 
 TENSOR_METHODS = ("gram", "gaussian", "tensorsketch")
 
@@ -39,48 +39,44 @@ class CpTensor:
     """CP-format tensor: `weights` (length R, nonnegative) plus one factor
     matrix per mode, each (I_n, R) with unit 2-norm columns.
 
-    The constructor normalizes factor columns, folding norms (and the sign
-    needed to keep weights nonnegative, applied to the first mode) into the
-    weights. Zero columns contribute weight +0.0 and get replaced by e_0.
-    Weights that overflow once the norms are folded in raise
-    FloatingPointError. Instances are treated as immutable and are safe
-    to share across threads. The unweighted R x R term Gram is computed on
-    first use and cached (`term_gram`), so its R**2 floats live as long as
-    the tensor.
+    The constructor checks factors and weights by the sketches' rule
+    (`sketch._check_factors`) and normalizes factor columns, folding norms
+    (and the sign needed to keep weights nonnegative, applied to the first
+    mode) into the weights. A column whose squares under- or overflow keeps
+    its norm; only an exact zero column gets weight +0.0, and becomes e_0.
+    A subnormal column (largest entry below 2.2e-308) and weights that
+    overflow once the norms are folded in raise FloatingPointError.
+    Instances are treated as immutable and are safe to share across
+    threads. The unweighted R x R term Gram is computed on first use and
+    cached (`term_gram`), so its R**2 floats live as long as the tensor.
     """
 
     def __init__(self, weights, factors):
         if len(factors) == 0:
             raise ValueError("need at least one factor matrix")
         factors = [as_matrix(f, name=f"factor {n}") for n, f in enumerate(factors)]
-        rank = factors[0].shape[1]
-        for n, f in enumerate(factors):
-            if f.shape[1] != rank:
-                raise ValueError(
-                    f"factor {n} has {f.shape[1]} columns, expected {rank}"
-                )
-        if np.iscomplexobj(weights):
-            raise ValueError("weights have complex entries; input must be real")
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (rank,):
-            raise ValueError(f"weights must have length {rank}")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
+        # as an array, None is a weight vector of the wrong shape, not all ones
+        weights = _check_factors(factors, len(factors), np.asarray(weights))
 
         sign = np.where(weights < 0.0, -1.0, 1.0)
         weights = np.abs(weights)
         normalized = []
+        tiny = np.finfo(np.float64).tiny
         # an overflow leaves non-finite weights, which raise below
         with np.errstate(divide="ignore", over="ignore"):
             for factor in factors:
                 # not f * f: on a sparse factor that is a sparse-sparse product
                 norms = np.sqrt((factor ** 2).sum(axis=0))
-                if np.isinf(norms).any():
-                    # squares overflowed: take the norms on each column scaled
-                    # down by its own power of two, which is exact
-                    e = np.maximum(np.frexp(dense(abs(factor).max(axis=0)))[1], 0)
-                    scaled = factor * np.ldexp(1.0, -e)
-                    norms = np.ldexp(np.sqrt((scaled ** 2).sum(axis=0)), e)
+                bad = np.isinf(norms) | (norms < np.sqrt(tiny))
+                if bad.any():
+                    # squares out of range: take those norms on each column
+                    # scaled by its own power of two, exact unless subnormal
+                    peak = dense(abs(factor).max(axis=0))
+                    if np.any((peak > 0.0) & (peak < tiny)):
+                        raise FloatingPointError("a factor column is subnormal")
+                    e = np.frexp(peak)[1]
+                    root = np.sqrt(((factor * np.ldexp(1.0, -e)) ** 2).sum(axis=0))
+                    norms = np.where(bad, np.ldexp(root, e), norms)
                 zero = norms == 0.0
                 # columns already unit to round-off are kept bit-identical, so
                 # selecting terms out of a normalized tensor is an exact

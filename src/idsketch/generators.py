@@ -18,14 +18,13 @@ from .linalg import as_csc
 NOISE_FLOOR = 1e-8
 
 
-def _decay_weights(count, knee, total=None):
-    """count coefficients: 10**(-8 (i-1)/(den)) for i <= knee, then 1e-8.
+def _decay_weights(count, knee, den):
+    """count coefficients: 10**(-8 (i-1)/den) for i <= knee, then 1e-8.
 
-    `den` is knee-1 for the matrix construction (decay completes at the
-    knee) and `total` for the tensor construction when given.
+    The matrix construction passes den = knee - 1 (at least 1), so the
+    decay completes at the knee; the tensor construction passes its rank.
     """
     i = np.arange(1, count + 1, dtype=np.float64)
-    den = float(total) if total is not None else float(max(knee - 1, 1))
     vals = 10.0 ** (-8.0 * (i - 1) / den)
     vals[i > knee] = NOISE_FLOOR
     return vals
@@ -75,7 +74,7 @@ def gen_synthetic_matrix(rows, cols, rank, density, seed=None):
     nnz_v = max(1, round(frac * cols))
     u = _sparse_unit_columns(rng, rows, terms, nnz_u)
     v = _sparse_unit_columns(rng, cols, terms, nnz_v)
-    sigma = _decay_weights(terms, rank)
+    sigma = _decay_weights(terms, rank, max(rank - 1, 1))
     a = (u @ sp.diags_array(sigma)) @ v.T
     a.sum_duplicates()  # in place, on our own product: as_csc need not copy it
     return as_csc(a)
@@ -101,5 +100,5 @@ def gen_synthetic_tensor(n_modes, dim, rank, decay_terms, density, seed=None):
     factors = [
         _sparse_unit_columns(rng, dim, rank, nnz_col) for _ in range(n_modes)
     ]
-    weights = _decay_weights(rank, decay_terms, total=rank)
+    weights = _decay_weights(rank, decay_terms, rank)
     return CpTensor(weights, factors)

@@ -56,22 +56,19 @@ def _id_from_pivoted(r, perm, method):
     The numerical rank counts the diagonal entries of `r` above the floor
     DEFAULT_RANK_TOL * |r00|, raised to the smallest normal float64 so its
     reciprocal is finite (0 for a zero triangle). Diagonal entries of the
-    leading triangle below the floor are raised to it before the solve, so
-    numerically rank-deficient inputs produce a usable (flagged)
-    decomposition instead of failing.
+    leading triangle below the floor are raised to it before the one solve,
+    so numerically rank-deficient inputs, a zero triangle among them, give
+    a usable (flagged) decomposition instead of failing. No coefficient is
+    -0.0.
     """
     rank = r.shape[0]
     diag = np.abs(np.diag(r))
     floor = max(DEFAULT_RANK_TOL * diag[0], np.finfo(np.float64).tiny)
     numerical_rank = int(np.count_nonzero(diag > floor))
-    if diag[0] == 0.0:
-        # zero input: any column set works, coefficients carry no information
-        t = np.zeros((rank, perm.size - rank))
-    else:
-        r11 = r[:, :rank].copy()
-        small = np.flatnonzero(diag < floor)
-        r11[small, small] = np.where(r11[small, small] < 0.0, -floor, floor)
-        t = triangular_solve(r11, r[:, rank:])
+    r11 = r[:, :rank].copy()
+    small = np.flatnonzero(diag < floor)
+    r11[small, small] = np.where(r11[small, small] < 0.0, -floor, floor)
+    t = triangular_solve(r11, r[:, rank:]) + 0.0  # -0.0 becomes +0.0
     coeffs = np.zeros((rank, perm.size))
     coeffs[np.arange(rank), perm[:rank]] = 1.0
     coeffs[:, perm[rank:]] = t

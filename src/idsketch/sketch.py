@@ -48,14 +48,18 @@ def _seed_entropy(seed):
 
 
 def _check_factors(factors, nmodes, weights):
-    """Check for one factor per mode, a shared column count and, unless
-    `weights` is None, one weight per column; returns the column weights
-    (ones for None)."""
+    """The factor and weight rule of every CP input (`CpTensor` and the
+    sketches): one factor per mode, all with the column count of factor 0,
+    and one real finite weight per column; returns float64 weights (ones
+    for None)."""
     if len(factors) != nmodes:
         raise ValueError(f"expected {nmodes} factors, got {len(factors)}")
     ncols = factors[0].shape[-1]
-    if any(factor.shape[-1] != ncols for factor in factors):
-        raise ValueError("factors must share a column count")
+    for n, factor in enumerate(factors):
+        if factor.shape[-1] != ncols:
+            raise ValueError(
+                f"factor {n} has {factor.shape[-1]} columns, expected {ncols}"
+            )
     if weights is None:
         return np.ones(ncols)
     if np.iscomplexobj(weights):
@@ -63,6 +67,8 @@ def _check_factors(factors, nmodes, weights):
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (ncols,):
         raise ValueError(f"weights must have length {ncols}, got {weights.shape}")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     return weights
 
 

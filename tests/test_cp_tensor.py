@@ -88,27 +88,71 @@ class TestCpTensor:
         assert np.array_equal(x.weights, expected_weights)
 
     def test_zero_column_flagged(self):
-        # column 1 is zero; column 2's entries square to 0
+        # column 1 is zero; column 2's entries square to 0, but it keeps its
+        # norm, taken on the column scaled by a power of two
         factors = [np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-200]]), np.ones((2, 3))]
         x = CpTensor([1.0, 2.0, 3.0], factors)
-        assert list(np.flatnonzero(x.weights == 0.0)) == [1, 2]
+        assert list(np.flatnonzero(x.weights == 0.0)) == [1]
         assert x.weights[1] == 0.0
+        assert x.weights[2] == pytest.approx(3e-200 * np.sqrt(2.0), rel=1e-15)
         assert np.linalg.norm(densify(x.factors[0])[:, 1]) == pytest.approx(1.0)
-        assert np.array_equal(x.factors[0][:, 1:], [[1.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(x.factors[0][:, 1], [1.0, 0.0])
+        assert x.factors[0][:, 2] == pytest.approx([0.0, 1.0], rel=1e-15)
         # dense containers stay Fortran-ordered (the linalg invariant)
         assert all(f.flags.f_contiguous for f in x.factors)
 
     def test_zero_column_sparse_factor(self):
         factor = sp.csc_array(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1e-200]]))
         x = CpTensor([1.0, 3.0, 5.0], [factor, np.ones((2, 3))])
-        assert list(np.flatnonzero(x.weights == 0.0)) == [1, 2]
+        assert list(np.flatnonzero(x.weights == 0.0)) == [1]
         assert x.weights[1] == 0.0
+        assert x.weights[2] == pytest.approx(5e-200 * np.sqrt(2.0), rel=1e-15)
         dense = densify(x.factors[0])
         assert np.linalg.norm(dense[:, 1]) == pytest.approx(1.0)
         assert np.linalg.norm(dense[:, 0]) == pytest.approx(1.0)
-        assert np.array_equal(dense[:, 1:], [[1.0, 1.0], [0.0, 0.0]])
-        assert x.factors[0].nnz == 3  # no stored zero left of the 1e-200 entry
+        assert np.array_equal(dense[:, 1], [1.0, 0.0])
+        assert dense[:, 2] == pytest.approx([0.0, 1.0], rel=1e-15)
+        assert x.factors[0].nnz == 3  # e_0 added, no stored zero
         assert x.factors[1].flags.f_contiguous
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-300])
+    def test_tiny_column_keeps_its_weight(self, scale, sparse):
+        # the squares of the tiny mode-0 column underflow to 0: it loaded as
+        # a zero column, and a tensor of such terms as the zero tensor
+        rng = np.random.default_rng(5)
+        f0 = rng.standard_normal((4, 3))
+        f0[:, 1] *= scale
+        f1 = rng.standard_normal((3, 3))
+        weights = np.array([1.5, -2.0, 0.5])
+        x = CpTensor(weights, [sp.csc_array(f0) if sparse else f0, f1])
+        # written out: the tiny column's norm on the column scaled up by
+        # 1 / scale, its weight's sign folded into mode 0
+        norm0 = np.linalg.norm(f0[:, 1] / scale) * scale
+        norm1 = np.linalg.norm(f1[:, 1])
+        assert x.weights[1] == pytest.approx(2.0 * norm0 * norm1, rel=1e-15)
+        column = densify(x.factors[0])[:, 1]
+        assert column == pytest.approx(-f0[:, 1] / norm0, rel=1e-15)
+        assert x.factors[1][:, 1] == pytest.approx(f1[:, 1] / norm1, rel=1e-15)
+
+    def test_tiny_tensor_is_not_the_zero_tensor(self):
+        # it loaded with weight 0 and cp_norm 0.0, with no error
+        x = CpTensor([1.0], [np.array([[1e-200], [1e-200]]), np.ones((2, 1))])
+        assert x.weights == pytest.approx([2e-200], rel=1e-15)
+        assert cp_norm(x) == pytest.approx(2e-200, rel=1e-15)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize(
+        "peak", [1e-310, 2.0**-1024, 2.0**-1022 / 3],
+        ids=["1e-310", "2^-1024", "2^-1022/3"],
+    )
+    def test_subnormal_column_raises(self, peak, sparse):
+        # below the normal range no power of two scales the column exactly
+        # and the reciprocal of its norm can overflow: a numerical failure,
+        # where it loaded as a zero column
+        f = np.array([[peak, 1.0], [0.0, 1.0]])
+        with pytest.raises(FloatingPointError, match="a factor column is subnormal"):
+            CpTensor([1.0, 1.0], [sp.csc_array(f) if sparse else f, np.ones((2, 2))])
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_huge_column_normalizes(self, sparse):
@@ -122,13 +166,14 @@ class TestCpTensor:
     def test_huge_column_next_to_tiny_and_unit_columns(self):
         # each column is scaled by its own power of two, so the 1e200 column
         # does not push its neighbours below the float64 range; the 1e-200
-        # column, whose squares underflow, is a zero column as before, and
-        # the unit column stays bit-identical
+        # column, whose squares underflow, keeps its norm, and the unit
+        # column stays bit-identical
         unit = np.array([0.6, 0.8])
         f = np.column_stack([[1e200, -1e200], [1e-200, 1e-200], unit])
         x = CpTensor([1.0, 1.0, 1.0], [f, np.ones((2, 3))])
         assert x.weights[0] == pytest.approx(2e200, rel=1e-15)
-        assert x.weights[1] == 0.0
+        assert x.weights[1] == pytest.approx(2e-200, rel=1e-15)
+        assert x.factors[0][:, 1] == pytest.approx([0.5**0.5, 0.5**0.5], rel=1e-15)
         assert x.weights[2] == pytest.approx(np.sqrt(2.0), rel=1e-15)
         assert np.array_equal(x.factors[0][:, 2], unit)
 

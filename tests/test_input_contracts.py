@@ -145,7 +145,8 @@ ARGUMENT_RULES = [
         kind="matrix", sizes=[], terms=10, rank=2, sketch_dim=4, density=0.5,
         methods=["countsketch"]), "sizes must be nonempty"),
     (lambda: CpTensor([], []), "need at least one factor matrix"),
-    (lambda: CpTensor([1.0, 2.0], [np.ones((3, 1))]), "weights must have length 1"),
+    (lambda: CpTensor([1.0, 2.0], [np.ones((3, 1))]),
+     "weights must have length 1, got (2,)"),
     (lambda: CpTensor([np.inf], [np.ones((3, 1))]), "weights must be finite"),
     (lambda: decompose(REAL_TENSOR, "bogus", 2), "unknown tensor method 'bogus'"),
     (lambda: gen_synthetic_tensor(3, 10, 4, 2, 0.0),
@@ -162,6 +163,13 @@ ARGUMENT_RULES = [
     (lambda: CountSketchOp(3, 2).apply(np.ones(3)), "sketch input must be 2-D"),
     (lambda: CountSketchOp(0, 2), "dimensions must be positive"),
     (lambda: SrftOp(4, 0), "dimensions must be positive"),
+    # the sketches returned a NaN column for a NaN weight
+    pytest.param(
+        lambda: KrGaussianOp([3], 2).apply([np.ones((3, 2))], [np.nan, 1.0]),
+        "weights must be finite", id="kr-gaussian-nan-weight"),
+    pytest.param(
+        lambda: TensorSketchOp([3], 2).apply([np.ones((3, 2))], [np.nan, 1.0]),
+        "weights must be finite", id="tensorsketch-nan-weight"),
 ]
 
 
