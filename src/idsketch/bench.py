@@ -4,7 +4,6 @@ per-trial reports plus per-cell summaries."""
 
 import csv
 import json
-import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -14,6 +13,7 @@ from .cp_tensor import TENSOR_METHODS, cp_diff_norm
 from .cp_tensor import decompose as decompose_tensor
 from .estimators import est_spectral_norm, id_residual_operator
 from .generators import gen_synthetic_matrix, gen_synthetic_tensor
+from .linalg import _require_finite
 from .matrix_id import MATRIX_METHODS, UNSKETCHED_METHODS
 from .matrix_id import decompose as decompose_matrix
 
@@ -118,9 +118,7 @@ def derive_seed(master, *tags):
 def _finite_error(err):
     """`err` as a float; a non-finite error raises FloatingPointError, so no
     trial reports a NaN or inf as a success."""
-    if not math.isfinite(err):
-        raise FloatingPointError(f"non-finite error {err!r}")
-    return float(err)
+    return float(_require_finite(err, f"non-finite error {err!r}"))
 
 
 def run_matrix_trial(a, method, rank, sketch_dim, seed):

@@ -16,15 +16,14 @@ from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpstrf
 
 from .estimators import _scaled_root
-from .linalg import as_matrix, dense
+from .linalg import _require_finite, as_matrix, dense
 from .matrix_id import (
+    _SKETCH_OVERFLOW,
     InterpolativeDecomposition,
     _check_id_args,
-    _check_sketch_finite,
     _id_from_pivoted,
     _sketch_and_id,
     matrix_id,
@@ -37,13 +36,14 @@ TENSOR_METHODS = ("gram", "gaussian", "tensorsketch")
 
 class CpTensor:
     """CP-format tensor: `weights` (length R, nonnegative) plus one factor
-    matrix per mode, each (I_n, R) with unit 2-norm columns.
+    matrix per mode, each (I_n, R) with unit 2-norm columns, except that a
+    zero column stays zero.
 
     The constructor checks factors and weights by the sketches' rule
     (`sketch._check_factors`) and normalizes factor columns, folding norms
     (and the sign needed to keep weights nonnegative, applied to the first
     mode) into the weights. A column whose squares under- or overflow keeps
-    its norm; only an exact zero column gets weight +0.0, and becomes e_0.
+    its norm; only an exact zero column gets weight +0.0, and it stays zero.
     A subnormal column (largest entry below 2.2e-308) and weights that
     overflow once the norms are folded in raise FloatingPointError.
     Instances are treated as immutable and are safe to share across
@@ -77,28 +77,21 @@ class CpTensor:
                     e = np.frexp(peak)[1]
                     root = np.sqrt(((factor * np.ldexp(1.0, -e)) ** 2).sum(axis=0))
                     norms = np.where(bad, np.ldexp(root, e), norms)
-                zero = norms == 0.0
                 # columns already unit to round-off are kept bit-identical, so
                 # selecting terms out of a normalized tensor is an exact
                 # column-subset operation
                 norms = np.where(np.abs(norms - 1.0) <= 1e-12, 1.0, norms)
-                scale = np.where(zero, 0.0, sign / norms)
+                # a zero column is left as it is; its norm 0 zeroes the weight
+                scale = np.where(norms == 0.0, 1.0, sign / norms)
                 if np.any(scale != 1.0):
-                    factor = factor * scale
-                    if zero.any():  # zero columns, scaled by 0, become e_0
-                        cols = np.flatnonzero(zero)
-                        e0 = (np.ones(cols.size), (np.zeros_like(cols), cols))
-                        factor = factor + sp.csc_array(e0, shape=factor.shape)
-                    factor = as_matrix(factor)
+                    factor = as_matrix(factor * scale)
                 weights *= norms
                 normalized.append(factor)
                 sign = 1.0  # the signs go to mode 0 only
-        if not np.isfinite(weights).all():
-            raise FloatingPointError(
-                "weights overflow once the factor column norms are folded in"
-            )
 
-        self.weights = weights
+        self.weights = _require_finite(
+            weights, "weights overflow once the factor column norms are folded in"
+        )
         self.factors = normalized
 
     @property
@@ -277,15 +270,14 @@ def gram_tensor_id(x, rank, gram=None):
     """
     _check_id_args("gram", rank, x.rank)
     if gram is None:
-        g = _check_sketch_finite(gram_hadamard(x))
+        g = _require_finite(gram_hadamard(x), _SKETCH_OVERFLOW)
     else:
         if np.iscomplexobj(gram):
             raise ValueError("gram has complex entries; input must be real")
         g = np.asarray(gram, dtype=np.float64)
         if g.shape != (x.rank, x.rank):
             raise ValueError(f"gram must have shape {(x.rank, x.rank)}, got {g.shape}")
-        if not np.isfinite(g).all():
-            raise FloatingPointError("gram has non-finite entries")
+        _require_finite(g, "gram has non-finite entries")
     u, piv, computed_rank, _ = dpstrf(g)
     # dpstrf leaves the rows past its own computed rank unfactored
     rt = np.triu(u[:rank])

@@ -18,6 +18,15 @@ class SingularTriangleError(np.linalg.LinAlgError):
     """A triangular solve hit a (numerically) zero diagonal entry."""
 
 
+def _require_finite(x, message):
+    """Return `x`, or raise FloatingPointError(message) if an entry is not
+    finite. `x` is (or stands for) a value computed from finite input, so
+    such an entry is an overflow: a numerical failure, not bad input."""
+    if not np.isfinite(x).all():
+        raise FloatingPointError(message)
+    return x
+
+
 def as_dense(a, name="a"):
     """Validate `a` as a dense matrix and return it as a float64 F-ordered array.
 
@@ -96,9 +105,7 @@ def cpqr(a, rank):
     # (rows, cols) triangle out of a tall input
     _, r, perm = scipy.linalg.qr(a, mode="raw", pivoting=True)
     r = np.ascontiguousarray(r[:rank, :])
-    if not np.isfinite(r).all():  # finite input whose column norms overflow
-        raise FloatingPointError("pivoted QR overflowed: R has non-finite entries")
-    return r, perm
+    return _require_finite(r, "pivoted QR overflowed: R has non-finite entries"), perm
 
 
 def triangular_solve(r, b):

@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 
 from idsketch.bench import ExperimentConfig, run_experiment
@@ -19,7 +18,6 @@ from idsketch.cp_tensor import (
     cp_norm,
     gaussian_tensor_id,
     gram_hadamard,
-    gram_tensor_id,
     tensorsketch_id,
 )
 from idsketch.estimators import est_spectral_norm

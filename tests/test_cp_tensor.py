@@ -88,15 +88,15 @@ class TestCpTensor:
         assert np.array_equal(x.weights, expected_weights)
 
     def test_zero_column_flagged(self):
-        # column 1 is zero; column 2's entries square to 0, but it keeps its
-        # norm, taken on the column scaled by a power of two
+        # column 1 is zero and stays zero; column 2's entries square to 0,
+        # but it keeps its norm, taken on the column scaled by a power of two
         factors = [np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-200]]), np.ones((2, 3))]
         x = CpTensor([1.0, 2.0, 3.0], factors)
         assert list(np.flatnonzero(x.weights == 0.0)) == [1]
         assert x.weights[1] == 0.0
         assert x.weights[2] == pytest.approx(3e-200 * np.sqrt(2.0), rel=1e-15)
-        assert np.linalg.norm(densify(x.factors[0])[:, 1]) == pytest.approx(1.0)
-        assert np.array_equal(x.factors[0][:, 1], [1.0, 0.0])
+        assert np.linalg.norm(densify(x.factors[0])[:, 1]) == 0.0
+        assert np.array_equal(x.factors[0][:, 1], [0.0, 0.0])
         assert x.factors[0][:, 2] == pytest.approx([0.0, 1.0], rel=1e-15)
         # dense containers stay Fortran-ordered (the linalg invariant)
         assert all(f.flags.f_contiguous for f in x.factors)
@@ -108,11 +108,11 @@ class TestCpTensor:
         assert x.weights[1] == 0.0
         assert x.weights[2] == pytest.approx(5e-200 * np.sqrt(2.0), rel=1e-15)
         dense = densify(x.factors[0])
-        assert np.linalg.norm(dense[:, 1]) == pytest.approx(1.0)
+        assert np.linalg.norm(dense[:, 1]) == 0.0
         assert np.linalg.norm(dense[:, 0]) == pytest.approx(1.0)
-        assert np.array_equal(dense[:, 1], [1.0, 0.0])
+        assert np.array_equal(dense[:, 1], [0.0, 0.0])
         assert dense[:, 2] == pytest.approx([0.0, 1.0], rel=1e-15)
-        assert x.factors[0].nnz == 3  # e_0 added, no stored zero
+        assert x.factors[0].nnz == 2  # the zero column stores nothing
         assert x.factors[1].flags.f_contiguous
 
     @pytest.mark.parametrize("sparse", [False, True])

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from idsketch.generators import gen_synthetic_matrix, gen_synthetic_tensor
 

@@ -358,6 +358,46 @@ def test_cli_weights_overflowing_on_load_exit_3(tmp_path, method):
     assert res.output.startswith("numerical failure: weights")
 
 
+def huge_signs():
+    # finite entries of magnitude 1.5e308: any sum of two overflows
+    signs = np.where(np.random.default_rng(0).random((50, 8)) < 0.5, -1.0, 1.0)
+    return sp.csc_array(signs * 1.5e308)
+
+
+def nan_error_trial(monkeypatch):
+    monkeypatch.setattr("idsketch.bench.cp_diff_norm", lambda x, y: float("nan"))
+    run_tensor_trial(CpTensor([1.0, 2.0, 3.0], [np.eye(4, 3)] * 3), "tensorsketch",
+                     2, 3, seed=0)
+
+
+NUMERICAL_FAILURES = [
+    pytest.param(lambda mp: matrix_decompose(huge_signs(), "deterministic", 3),
+                 "pivoted QR overflowed: R has non-finite entries", id="cpqr"),
+    pytest.param(lambda mp: matrix_decompose(huge_signs(), "countsketch", 3),
+                 "the sketch overflowed: it has non-finite entries", id="sketch"),
+    pytest.param(lambda mp: CpTensor([1.5e308] * 2, [np.ones((3, 2))] * 3),
+                 "weights overflow once the factor column norms are folded in",
+                 id="cp-weights"),
+    pytest.param(lambda mp: gram_tensor_id(overflowing_tensor(), 3),
+                 "the sketch overflowed: it has non-finite entries", id="gram"),
+    pytest.param(lambda mp: gram_tensor_id(
+                     CpTensor(np.arange(1.0, 6.0), [np.eye(6, 5)] * 2), 3,
+                     gram=np.full((5, 5), np.nan)),
+                 "gram has non-finite entries", id="given-gram"),
+    pytest.param(nan_error_trial, "non-finite error nan", id="trial-error"),
+]
+
+
+@pytest.mark.parametrize("call, message", NUMERICAL_FAILURES)
+def test_numerical_failure_messages(monkeypatch, call, message):
+    # a non-finite value computed from finite input: each site's own
+    # FloatingPointError, byte for byte
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError) as exc:
+            call(monkeypatch)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "config",
     [
