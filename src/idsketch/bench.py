@@ -8,10 +8,11 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cp_tensor import TENSOR_METHODS, cp_diff_norm
 from .cp_tensor import decompose as decompose_tensor
-from .estimators import est_spectral_norm, id_residual_operator
+from .estimators import _norm, est_spectral_norm, id_residual_operator
 from .generators import gen_synthetic_matrix, gen_synthetic_tensor
 from .linalg import _require_finite
 from .matrix_id import MATRIX_METHODS, UNSKETCHED_METHODS
@@ -127,9 +128,19 @@ def run_matrix_trial(a, method, rank, sketch_dim, seed):
     decomp, sketch_time, wall = decompose_matrix(a, method, rank, sketch_dim, seed)
     apply, adjoint = id_residual_operator(a, decomp)
     est = est_spectral_norm(
-        apply, adjoint, cols=a.shape[1], seed=derive_seed(seed, 0xE57)
+        apply, adjoint, cols=a.shape[1], seed=derive_seed(seed, 0xE57),
+        scale=_residual_scale(a, decomp),
     )
     return decomp, _finite_error(est.value), sketch_time, wall
+
+
+def _residual_scale(a, decomp):
+    """||A||_F (1 + ||P||_F), the magnitude that the products of the ID
+    residual A (E P - I) carry, in O(nnz + k cols); FloatingPointError
+    beyond the float64 range."""
+    entries = a.data if sp.issparse(a) else np.asarray(a).ravel(order="K")
+    scale = _norm(entries) * (1.0 + _norm(decomp.coeffs.ravel()))
+    return _require_finite(scale, "norm beyond the float64 range")
 
 
 def run_tensor_trial(x, method, rank, sketch_dim, seed):

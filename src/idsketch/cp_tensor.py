@@ -21,7 +21,6 @@ from scipy.linalg.lapack import dpstrf
 from .estimators import _scaled_root
 from .linalg import _require_finite, as_matrix, dense
 from .matrix_id import (
-    _SKETCH_OVERFLOW,
     InterpolativeDecomposition,
     _check_id_args,
     _id_from_pivoted,
@@ -29,7 +28,7 @@ from .matrix_id import (
     matrix_id,
 )
 from .mmio import read_matrix_market, write_matrix_market
-from .sketch import KrGaussianOp, TensorSketchOp, _check_factors
+from .sketch import _SKETCH_OVERFLOW, KrGaussianOp, TensorSketchOp, _check_factors
 
 TENSOR_METHODS = ("gram", "gaussian", "tensorsketch")
 
@@ -135,8 +134,10 @@ def gram_hadamard(x):
     """Gram matrix of the flattened weighted rank-1 terms, computed one mode
     at a time in O(R^2 sum_n I_n); symmetric PSD up to round-off. It never
     reads the cached `x.term_gram`: the Gram method pays for its Gram inside
-    its timed sketch phase."""
-    return _term_gram(x.factors, x.factors) * x.weights * x.weights[:, None]
+    its timed sketch phase. Being that method's sketch, a Gram that
+    overflows raises FloatingPointError(_SKETCH_OVERFLOW)."""
+    gram = _term_gram(x.factors, x.factors) * x.weights * x.weights[:, None]
+    return _require_finite(gram, _SKETCH_OVERFLOW)
 
 
 def _gram_norm(gram, weights):
@@ -270,7 +271,7 @@ def gram_tensor_id(x, rank, gram=None):
     """
     _check_id_args("gram", rank, x.rank)
     if gram is None:
-        g = _require_finite(gram_hadamard(x), _SKETCH_OVERFLOW)
+        g = gram_hadamard(x)
     else:
         if np.iscomplexobj(gram):
             raise ValueError("gram has complex entries; input must be real")

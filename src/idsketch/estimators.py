@@ -1,16 +1,22 @@
 """Randomized spectral-norm estimation for implicit residual operators.
 
-The estimator is power iteration on the normal operator from a handful of
-Gaussian starts. Its value is the norm of the operator applied to a unit
-vector, so it never exceeds the true spectral norm; with a few iterations
-it is overwhelmingly unlikely to fall far below it, which is all a
-benchmark comparison needs.
+The estimator is Golub-Kahan-Lanczos (GKL) bidiagonalization (Golub &
+Kahan, SIAM J. Numer. Anal. B 2(2), 1965) from a Gaussian start. Only the
+right basis, on the operator's domain, is reorthogonalized in full
+(one-sided reorthogonalization, Simon & Zha, SIAM J. Sci. Comput. 21(6),
+2000): for an ID residual that is the short side, so the step is cheap,
+and nothing longer than one vector is kept on the long side. The value is
+the norm of the operator applied to the unit top Ritz vector, so it never
+exceeds the true spectral norm; from a random start a few steps reach the
+top of the spectrum much sooner than as many power iterations (Kuczyński
+& Woźniakowski, SIAM J. Matrix Anal. Appl. 13(4), 1992).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 _ADJOINT_RTOL = 1e-10
 
@@ -24,57 +30,110 @@ class NormEstimate:
     probes: int
 
 
-def est_spectral_norm(apply, apply_adjoint, cols, iters=10, probes=2, seed=None):
+def est_spectral_norm(apply, apply_adjoint, cols, iters=10, probes=1, seed=None,
+                      scale=None):
     """Estimate the spectral norm of the operator pair from below.
 
-    Runs `iters` power iterations on the normal operator from `probes`
-    independent Gaussian starts and returns the largest ||B v|| over the
-    final unit iterates. B v is rescaled by a power of two before the
-    adjoint, which keeps the iterates in range up to norms of the float64
-    limit over sqrt(rows). Raises FloatingPointError for a non-finite
-    iterate (inf or NaN from the operator) or norm.
+    Runs `iters` GKL steps from each of `probes` independent Gaussian
+    starts and returns the largest ||B v|| over the unit top Ritz vectors
+    v: 2 iters probes + 2 operator products in all, two of them for the
+    adjoint test. The steps stop early at an exact invariant subspace and
+    never exceed `cols`. Every vector is divided by its range-safe norm
+    and the bidiagonal is scaled by a power of two before its SVD, so the
+    estimate of B * 2**e is the estimate of B times 2**e, bit for bit,
+    while no value leaves the normal range. Raises FloatingPointError for
+    a non-finite vector (inf or NaN from the operator) or norm.
 
     Parameters
     ----------
     apply, apply_adjoint : callable
         The operator B and its adjoint, each mapping a 1-D vector to a
-        1-D vector. Checked for consistency on a random probe pair.
+        new 1-D vector, which the estimate may overwrite. Checked for
+        consistency on a random probe pair x, y:
+        |<Bx, y> - <x, B'y>| may be at most 1e-10 scale ||x|| ||y|| when
+        `scale` is given, else 1e-10 max(||Bx|| ||y|| + ||x|| ||B'y||, 1).
     cols : int
         Domain dimension of `apply`.
     iters, probes : int
-        Power iterations per probe and number of probes. The defaults keep
-        the empirical chance of underestimating by more than a factor 100
-        well below 2e-2 on random ensembles.
+        GKL steps per start and number of starts.
+    scale : float, optional
+        The magnitude the products carry, against which their round-off
+        is measured; for the ID residual A (E P - I) that is
+        ||A||_F (1 + ||P||_F). Must be finite and nonnegative.
     """
     if cols < 1:
         raise ValueError("cols must be positive")
     if iters < 0 or probes < 1:
         raise ValueError("need iters >= 0 and probes >= 1")
+    if scale is not None and not 0.0 <= scale < math.inf:
+        raise ValueError(f"scale must be finite and nonnegative, got {scale!r}")
     rng = np.random.default_rng(seed)
+    _check_adjoint(apply, apply_adjoint, cols, rng, scale)
+    starts = rng.standard_normal((probes, cols))
+    best = 0.0
+    for start in starts:
+        v = _ritz_vector(apply, apply_adjoint, _unit(start), min(iters, cols))
+        best = max(best, _normalize(_vector(apply(v))))
+    return NormEstimate(value=best, iterations=iters, probes=probes)
 
+
+def _check_adjoint(apply, apply_adjoint, cols, rng, scale):
+    """The adjoint test of `est_spectral_norm` on a Gaussian pair x, y."""
     x = rng.standard_normal(cols)
-    bx = np.asarray(apply(x), dtype=np.float64)
+    bx = _vector(apply(x))
     y = rng.standard_normal(bx.shape[0])
-    bty = np.asarray(apply_adjoint(y), dtype=np.float64)
+    bty = _vector(apply_adjoint(y))
     lhs = float(bx @ y)
     rhs = float(x @ bty)
-    scale = _norm(bx) * _norm(y) + _norm(x) * _norm(bty)
-    if abs(lhs - rhs) > _ADJOINT_RTOL * max(scale, 1.0):
+    # the long vectors bx and y are not used again: normalize them in place
+    if scale is None:
+        tol = _ADJOINT_RTOL * max(
+            _normalize(bx) * _normalize(y) + _norm(x) * _norm(bty), 1.0
+        )
+    else:
+        tol = _ADJOINT_RTOL * scale * _norm(x) * _normalize(y)
+    if abs(lhs - rhs) > tol:
         raise ValueError(
             "operator pair failed the adjoint test: "
             f"<Bx, y>={lhs!r} vs <x, B'y>={rhs!r}"
         )
 
-    starts = rng.standard_normal((probes, cols))
-    best = 0.0
-    for p in range(probes):
-        v = _unit(starts[p])
-        for _ in range(iters):
-            w = np.asarray(apply(v), dtype=np.float64)
-            w = np.ldexp(w, -_scale_exponent(w))
-            v = _unit(np.asarray(apply_adjoint(w), dtype=np.float64))
-        best = max(best, _norm(np.asarray(apply(v), dtype=np.float64)))
-    return NormEstimate(value=best, iterations=iters, probes=probes)
+
+def _vector(v):
+    """An operator's output as a writable float64 array."""
+    return np.require(v, np.float64, "W")
+
+
+def _ritz_vector(apply, apply_adjoint, v, steps):
+    """Unit top right Ritz vector of `steps` GKL steps from the unit `v`
+    (`v` itself for no steps). B V = U T with T upper bidiagonal: alphas
+    on its diagonal, betas above it. V is reorthogonalized by classical
+    Gram-Schmidt twice; of U only the latest vector is kept, and
+    p = B v - beta u is formed in place in the vector `apply` returned."""
+    if steps == 0:
+        return v
+    basis = np.empty((steps, v.size))
+    alphas, betas = [], []
+    for j in range(steps):
+        basis[j] = v
+        p = _vector(apply(v))
+        if j:
+            p = daxpy(u, p, a=-betas[-1])
+        alphas.append(_normalize(p))
+        if alphas[-1] == 0.0 or j == steps - 1:
+            break
+        u = p
+        w = _vector(apply_adjoint(u)) - alphas[-1] * v
+        for _ in range(2):
+            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
+        beta = _norm(w)
+        if beta == 0.0:
+            break
+        betas.append(beta)
+        v = w / beta
+    t = np.diag(alphas) + np.diag(betas, 1)
+    _, _, vt = np.linalg.svd(np.ldexp(t, -_scale_exponent(t)))
+    return _unit(vt[0] @ basis[:len(alphas)])
 
 
 def _scale_exponent(v):
@@ -93,10 +152,25 @@ def _scaled_root(v, form):
     entries whose squares overflow or underflow still give the root; a root
     beyond the float64 range raises FloatingPointError."""
     e = _scale_exponent(v)
+    return _times_power_of_two(math.sqrt(max(form(np.ldexp(v, -e)), 0.0)), e)
+
+
+def _times_power_of_two(root, e):
     try:
-        return math.ldexp(math.sqrt(max(form(np.ldexp(v, -e)), 0.0)), e)
+        return math.ldexp(root, e)
     except OverflowError:
         raise FloatingPointError("norm beyond the float64 range") from None
+
+
+def _normalize(v):
+    """Divide `v` in place by its norm and return the norm, `_norm(v)`; a
+    zero vector stays zero. No temporary is made: `v` holds its power-of-two
+    scaled copy in between, whose quotient by the scaled root is the same."""
+    e = _scale_exponent(v)
+    np.ldexp(v, -e, out=v)
+    root = math.sqrt(v @ v)
+    v /= root or 1.0
+    return _times_power_of_two(root, e)
 
 
 def _norm(v):

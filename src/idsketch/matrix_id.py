@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import _require_finite, as_matrix, cpqr, dense, triangular_solve
+from .linalg import as_matrix, cpqr, dense, triangular_solve
 from .sketch import CountSketchOp, GaussianOp, SrftOp
 
 MATRIX_METHODS = ("deterministic", "gaussian", "srft", "countsketch")
@@ -21,8 +21,6 @@ DEFAULT_OVERSAMPLE = 10
 DEFAULT_RANK_TOL = 1e-12
 # the methods that draw no sketch, so take no sketch dimension
 UNSKETCHED_METHODS = ("deterministic", "gram")
-# a sketch of finite input that is not finite overflowed
-_SKETCH_OVERFLOW = "the sketch overflowed: it has non-finite entries"
 
 
 @dataclass(frozen=True)
@@ -127,13 +125,12 @@ def _check_id_args(method, rank, max_rank, sketch_dim=None, limit=None):
 
 
 def _sketch_and_id(t0, sketch, finish):
-    """Hand a sketch to its ID: time `sketch()`, check it finite (the input
-    is, so a non-finite sketch raises _SKETCH_OVERFLOW) and return
-    (finish(sketch), sketch_seconds, seconds since `t0`)."""
+    """Hand a sketch to its ID: time `sketch()`, which checks itself finite
+    (the sketch operators and `gram_hadamard` raise _SKETCH_OVERFLOW), and
+    return (finish(sketch), sketch_seconds, seconds since `t0`)."""
     t1 = time.perf_counter()
     s = sketch()
     sketch_seconds = time.perf_counter() - t1
-    s = _require_finite(s, _SKETCH_OVERFLOW)
     return finish(s), sketch_seconds, time.perf_counter() - t0
 
 

@@ -38,6 +38,8 @@ from scipy import fft as _fft
 _SRFT_BLOCK_COLS = 256  # dense columns per FFT block: on 32000 x 500 as fast
 # as one whole FFT, with a 189 MiB transient peak, not 366 MiB (tracemalloc)
 _SRFT_ROW_CHUNK = 8192  # nonzero sparse rows per block of sampled DFT entries
+# a sketch of finite input that is not finite overflowed
+_SKETCH_OVERFLOW = "the sketch overflowed: it has non-finite entries"
 
 
 def _seed_entropy(seed):
@@ -92,6 +94,20 @@ def _check_rows(a, in_dim, kind):
         raise ValueError(
             f"{kind} expects {in_dim} input rows, got {a.shape[0]}"
         )
+
+
+def _finite_sketch(out, inputs):
+    """Return the sketch `out` of `inputs` if it is finite. Only a
+    non-finite sketch makes the inputs (arrays or sparse matrices) be read:
+    a non-finite input entry is a ValueError, otherwise the finite input
+    overflowed, a FloatingPointError. Every sketch here carries a
+    non-finite input entry into its output."""
+    if np.isfinite(out).all():
+        return out
+    for a in inputs:
+        if not np.isfinite(a.data if sp.issparse(a) else a).all():
+            raise ValueError("sketch input has non-finite entries")
+    raise FloatingPointError(_SKETCH_OVERFLOW)
 
 
 class CountSketchOp:
@@ -152,7 +168,7 @@ class CountSketchOp:
             s = sp.csr_array(
                 (self.sign, (self.bucket, cols)), shape=(self.out_dim, self.in_dim)
             )
-            return np.asarray(s @ a, dtype=np.float64)
+            return _finite_sketch(np.asarray(s @ a, dtype=np.float64), [a])
         if a.format != "csc" or not a.has_sorted_indices:
             a = sp.csr_array(a)  # rows ascending, as the product reads them
         ncols = a.shape[1]
@@ -163,7 +179,8 @@ class CountSketchOp:
             key, weights=self.sign[rows] * a.data, minlength=self.out_dim * ncols
         )
         # with no nonzeros bincount returns integer zeros
-        return out.reshape(self.out_dim, ncols).astype(np.float64, copy=False)
+        out = out.reshape(self.out_dim, ncols).astype(np.float64, copy=False)
+        return _finite_sketch(out, [a])
 
 
 class TensorSketchOp:
@@ -200,7 +217,8 @@ class TensorSketchOp:
             _fft.rfft(op.apply(factor), axis=0)
             for op, factor in zip(self.mode_ops, factors)
         ))
-        return _fft.irfft(spectrum, n=self.out_dim, axis=0) * weights
+        out = _fft.irfft(spectrum, n=self.out_dim, axis=0) * weights
+        return _finite_sketch(out, factors)
 
 
 class SrftOp:
@@ -247,7 +265,7 @@ class SrftOp:
                 block = self.sign[:, None] * a[:, start:stop]
                 z[start:stop] = _fft.fft(block, axis=0)[self.sample_rows].T
         # complex (cols, out_dim) viewed as interleaved (re, im) output rows
-        return np.ascontiguousarray(z.view(np.float64).T)
+        return _finite_sketch(np.ascontiguousarray(z.view(np.float64).T), [a])
 
     def _apply_sparse(self, a):
         """The complex (cols, out_dim) block of sampled DFT rows of `a`."""
@@ -294,7 +312,7 @@ class KrGaussianOp:
             _check_rows(factor, dim, "Khatri-Rao Gaussian sketch")
             rng = np.random.default_rng(np.random.SeedSequence([self.seed, n]))
             out = out * (rng.standard_normal((dim, self.out_dim)).T @ factor)
-        return out * weights
+        return _finite_sketch(out * weights, factors)
 
 
 class GaussianOp(KrGaussianOp):

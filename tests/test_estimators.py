@@ -1,10 +1,32 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
+from idsketch.bench import run_matrix_trial
 from idsketch.estimators import est_spectral_norm, id_residual_operator
-from idsketch.matrix_id import countsketch_id, matrix_id
+from idsketch.generators import gen_synthetic_matrix
+from idsketch.matrix_id import MATRIX_METHODS, countsketch_id, matrix_id
 
 from conftest import matrix_operator
+
+
+@cache
+def id_matrix():
+    return gen_synthetic_matrix(3000, 120, 20, 0.02, seed=4)
+
+
+def counted(apply, adjoint):
+    """The operator pair with one shared call counter."""
+    calls = []
+
+    def wrap(f):
+        def counted_f(v):
+            calls.append(None)
+            return f(v)
+        return counted_f
+
+    return wrap(apply), wrap(adjoint), calls
 
 
 class TestEstSpectralNorm:
@@ -63,6 +85,40 @@ class TestEstSpectralNorm:
         with pytest.raises(ValueError, match="adjoint"):
             est_spectral_norm(apply, wrong_adjoint, cols=8, seed=0)
 
+    def test_adjoint_mismatch_rejected_relative_to_scale(self):
+        # a wrong pair of norm 1e-12 stayed under the absolute floor of 1e-10
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((10, 8)) * 1e-12
+        b = rng.standard_normal((10, 8)) * 1e-12
+        apply, _ = matrix_operator(a)
+        _, wrong_adjoint = matrix_operator(b)
+        est_spectral_norm(apply, wrong_adjoint, cols=8, seed=0)
+        with pytest.raises(ValueError, match="adjoint"):
+            est_spectral_norm(
+                apply, wrong_adjoint, cols=8, seed=0, scale=np.linalg.norm(a)
+            )
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, -1.0])
+    def test_scale_must_be_finite(self, scale):
+        # an infinite tolerance would pass any pair
+        apply, adjoint = matrix_operator(np.eye(3))
+        with pytest.raises(ValueError, match="scale must be finite"):
+            est_spectral_norm(apply, adjoint, cols=3, scale=scale)
+
+    @pytest.mark.parametrize(
+        "settings", [{}, {"iters": 4, "probes": 3}, {"iters": 1, "probes": 2}],
+        ids=["defaults", "4x3", "1x2"],
+    )
+    def test_product_budget(self, settings):
+        # 2 iters probes + 2 products, 22 at the defaults; power iteration
+        # took 2 (iters + 1) probes + 2, 44 at its defaults
+        decomp = countsketch_id(id_matrix(), 20, 30, seed=0)
+        apply, adjoint, calls = counted(*id_residual_operator(id_matrix(), decomp))
+        est = est_spectral_norm(apply, adjoint, cols=120, seed=1, **settings)
+        assert len(calls) <= 2 * est.iterations * est.probes + 2
+        if not settings:
+            assert (est.iterations, est.probes, len(calls)) == (10, 1, 22)
+
     def test_parameter_validation(self):
         apply, adjoint = matrix_operator(np.eye(3))
         with pytest.raises(ValueError):
@@ -99,6 +155,19 @@ class TestIdResidualOperator:
         assert est.value >= true / 2.0
 
 
+@pytest.mark.parametrize("method", MATRIX_METHODS)
+def test_default_estimate_of_id_residuals_is_tight(method):
+    # power iteration (2 probes x 10) read as little as 0.972 of the truth
+    # on these residuals
+    a = id_matrix()
+    dense = a.toarray()
+    norm_a = np.linalg.norm(dense, 2)
+    for seed in range(10):
+        decomp, err = run_matrix_trial(a, method, 20, 30, seed)[:2]
+        true = np.linalg.norm(dense[:, decomp.cols] @ decomp.coeffs - dense, 2)
+        assert 0.999 * true <= err <= true + 1e-14 * norm_a, (seed, err / true)
+
+
 class TestExtremeScales:
     @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300])
     def test_residual_norm_at_extreme_scale(self, scale):
@@ -110,6 +179,23 @@ class TestExtremeScales:
         est = est_spectral_norm(apply, adjoint, cols=12, seed=0)
         true = np.linalg.norm(a[:, decomp.cols] @ decomp.coeffs - a, 2)
         assert abs(est.value - true) <= 1e-2 * true
+
+    @pytest.mark.parametrize("factor", [1e6, 1e300])
+    @pytest.mark.parametrize("method", MATRIX_METHODS)
+    def test_scaled_id_residual_passes_the_adjoint_test(self, method, factor):
+        # the absolute tolerance floor let round-off relative to ||A|| fail
+        # the test: ValueError for deterministic, countsketch and gaussian
+        # at x1e6 and for deterministic and srft at x1e300
+        base = run_matrix_trial(id_matrix(), method, 20, 30, 9)[1]
+        err = run_matrix_trial(id_matrix() * factor, method, 20, 30, 9)[1]
+        assert err == pytest.approx(base * factor, rel=1e-6)
+
+    def test_overflowing_residual_scale_is_a_numerical_failure(self):
+        # ||A||_F beyond the float64 range: no tolerance to test against
+        a = np.random.default_rng(0).standard_normal((60, 12)) * 1e307
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="beyond the float64 range"):
+                run_matrix_trial(a, "deterministic", 4, None, 0)
 
     def test_non_finite_operator_raises(self):
         # a NaN iterate used to lose every max() and leave the estimate at 0.0

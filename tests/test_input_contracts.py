@@ -398,6 +398,38 @@ def test_numerical_failure_messages(monkeypatch, call, message):
     assert str(exc.value) == message
 
 
+SKETCH_CALLS = [
+    pytest.param(lambda a: CountSketchOp(50, 8).apply(a), id="countsketch"),
+    pytest.param(lambda a: SrftOp(50, 8).apply(a), id="srft"),
+    pytest.param(lambda a: KrGaussianOp([50], 8).apply([a]), id="kr-gaussian"),
+    pytest.param(lambda a: TensorSketchOp([50], 8).apply([a]), id="tensorsketch"),
+]
+
+
+@pytest.mark.parametrize("container", [np.asarray, sp.csc_array], ids=["dense", "sparse"])
+@pytest.mark.parametrize("call", SKETCH_CALLS)
+@pytest.mark.parametrize(
+    "entry, error, message",
+    [
+        (np.nan, ValueError, "sketch input has non-finite entries"),
+        (np.inf, ValueError, "sketch input has non-finite entries"),
+        (None, FloatingPointError, "the sketch overflowed: it has non-finite entries"),
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+def test_sketch_checks_its_output(container, call, entry, error, message):
+    # a non-finite input entry gave a NaN column with no error; finite input
+    # whose sketch overflows stays a numerical failure
+    a = huge_signs().toarray()
+    if entry is not None:
+        a[7, 2] = entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error) as exc:
+            call(container(a))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "config",
     [
