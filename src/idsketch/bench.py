@@ -122,16 +122,15 @@ def _finite_error(err):
     return float(_require_finite(err, f"non-finite error {err!r}"))
 
 
-def run_matrix_trial(a, method, rank, sketch_dim, seed):
-    """Decompose `a`, timing the sketch and ID phases separately, and
-    estimate the spectral-norm error of the result."""
-    decomp, sketch_time, wall = decompose_matrix(a, method, rank, sketch_dim, seed)
+def _matrix_error(a, decomp, seed):
+    """Spectral-norm error estimate of the ID `decomp` of `a`, seeded from
+    the trial seed."""
     apply, adjoint = id_residual_operator(a, decomp)
     est = est_spectral_norm(
         apply, adjoint, cols=a.shape[1], seed=derive_seed(seed, 0xE57),
         scale=_residual_scale(a, decomp),
     )
-    return decomp, _finite_error(est.value), sketch_time, wall
+    return _finite_error(est.value)
 
 
 def _residual_scale(a, decomp):
@@ -143,13 +142,27 @@ def _residual_scale(a, decomp):
     return _require_finite(scale, "norm beyond the float64 range")
 
 
+def _tensor_error(x, result, seed):
+    """Exact Frobenius error of the reduction `result` of `x`, in the delta
+    form of `cp_diff_norm`; `seed` is unused, the error draws nothing."""
+    return _finite_error(cp_diff_norm(x, result))
+
+
+def run_matrix_trial(a, method, rank, sketch_dim, seed):
+    """Decompose `a`, timing the sketch and ID phases separately, and
+    estimate the spectral-norm error of the result."""
+    decomp, sketch_time, wall = decompose_matrix(a, method, rank, sketch_dim, seed)
+    return decomp, _matrix_error(a, decomp, seed), sketch_time, wall
+
+
 def run_tensor_trial(x, method, rank, sketch_dim, seed):
     """Reduce `x`, timing the sketch (or Gram) phase separately, and compute
     the exact Frobenius error of the result in the delta form of
-    `cp_diff_norm`, whose term Gram `x` computes once and caches."""
+    `cp_diff_norm`. The error reads the term Gram that `x` caches: the one
+    the gram method's `gram_hadamard` stored, else one computed on first
+    use, so `x` computes it once."""
     result, sketch_time, wall = decompose_tensor(x, method, rank, sketch_dim, seed)
-    err = cp_diff_norm(x, result)
-    return result, _finite_error(err), sketch_time, wall
+    return result, _tensor_error(x, result, seed), sketch_time, wall
 
 
 def generate_input(cfg, size):
@@ -168,14 +181,23 @@ def generate_input(cfg, size):
 def run_experiment(cfg):
     """Run the sweep; returns (trial_reports, summary_rows).
 
-    Per-trial failures are recorded in the report status and do not stop
-    the run. Summary rows carry the per-cell medians and means over the
-    successful trials.
+    Each dataset is decomposed by every method and trial before any error
+    is evaluated, so a tensor's errors reuse the term Gram that its first
+    gram trial computed in its timed sketch phase; without a gram trial
+    the first error computes it. Every report equals that of one
+    `run_matrix_trial` / `run_tensor_trial` call per trial, timings
+    aside. Per-trial failures, in either step, are recorded in the report
+    status and do not stop the run. Summary rows carry the per-cell
+    medians and means over the successful trials.
     """
-    run_trial = run_matrix_trial if cfg.kind == "matrix" else run_tensor_trial
+    if cfg.kind == "matrix":
+        decompose, error = decompose_matrix, _matrix_error
+    else:
+        decompose, error = decompose_tensor, _tensor_error
     reports = []
     for size in cfg.sizes:
         data = generate_input(cfg, size)
+        decomposed = []
         for mi, method in enumerate(cfg.methods):
             sketch_dim = None if method in UNSKETCHED_METHODS else cfg.sketch_dim
             for trial in range(cfg.trials):
@@ -191,17 +213,22 @@ def run_experiment(cfg):
                     trial=trial,
                     seed=seed,
                 )
+                reports.append(report)
                 try:
-                    _, err, st, wall = run_trial(
-                        data, method, cfg.rank, sketch_dim, seed
-                    )
-                    report.error_norm_kind = ERROR_NORM_KINDS[cfg.kind]
-                    report.error_estimate = err
-                    report.sketch_time_seconds = st
-                    report.wall_time_seconds = wall
+                    timed = decompose(data, method, cfg.rank, sketch_dim, seed)
                 except Exception as exc:  # per-trial failures stay in the report
                     report.status = f"failed: {exc}"
-                reports.append(report)
+                    continue
+                decomposed.append((report, timed))
+        for report, (result, st, wall) in decomposed:
+            try:
+                report.error_estimate = error(data, result, report.seed)
+            except Exception as exc:
+                report.status = f"failed: {exc}"
+                continue
+            report.error_norm_kind = ERROR_NORM_KINDS[cfg.kind]
+            report.sketch_time_seconds = st
+            report.wall_time_seconds = wall
     return reports, summarize(reports)
 
 

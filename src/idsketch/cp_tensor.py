@@ -46,8 +46,9 @@ class CpTensor:
     A subnormal column (largest entry below 2.2e-308) and weights that
     overflow once the norms are folded in raise FloatingPointError.
     Instances are treated as immutable and are safe to share across
-    threads. The unweighted R x R term Gram is computed on first use and
-    cached (`term_gram`), so its R**2 floats live as long as the tensor.
+    threads. The unweighted R x R term Gram is computed on first use, or
+    taken from the first `gram_hadamard(x)`, and cached (`term_gram`), so
+    its R**2 floats live as long as the tensor.
     """
 
     def __init__(self, weights, factors):
@@ -116,10 +117,17 @@ class CpTensor:
     @cached_property
     def term_gram(self):
         """Unweighted Gram of the rank-1 terms, (R, R) and read-only; two
-        threads racing on the first use compute the same array."""
-        gram = _term_gram(self.factors, self.factors)
-        gram.flags.writeable = False
-        return gram
+        threads racing on the first use compute the same array. A
+        `gram_hadamard(x)` call that comes first stores its own, so the
+        errors of a Gram-method reduction compute no second Gram."""
+        return _cache_term_gram(self, _term_gram(self.factors, self.factors))
+
+
+def _cache_term_gram(x, gram):
+    """Make `gram`, the term Gram of `x`, read-only and cache it as
+    `x.term_gram` unless a Gram is cached already; returns the cached one."""
+    gram.flags.writeable = False
+    return vars(x).setdefault("term_gram", gram)
 
 
 def _term_gram(factors, others):
@@ -134,9 +142,13 @@ def gram_hadamard(x):
     """Gram matrix of the flattened weighted rank-1 terms, computed one mode
     at a time in O(R^2 sum_n I_n); symmetric PSD up to round-off. It never
     reads the cached `x.term_gram`: the Gram method pays for its Gram inside
-    its timed sketch phase. Being that method's sketch, a Gram that
-    overflows raises FloatingPointError(_SKETCH_OVERFLOW)."""
-    gram = _term_gram(x.factors, x.factors) * x.weights * x.weights[:, None]
+    its timed sketch phase. While `x.term_gram` is still empty, the
+    unweighted Gram it computes is stored there, read-only, so the error of
+    the reduction (`cp_diff_norm`) reuses it. Being that method's sketch, a
+    Gram that overflows raises FloatingPointError(_SKETCH_OVERFLOW)."""
+    term_gram = _term_gram(x.factors, x.factors)
+    _cache_term_gram(x, term_gram)
+    gram = term_gram * x.weights * x.weights[:, None]
     return _require_finite(gram, _SKETCH_OVERFLOW)
 
 

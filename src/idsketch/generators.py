@@ -31,17 +31,25 @@ def _decay_weights(count, knee, den):
 
 
 def _sparse_unit_columns(rng, dim, count, nnz_per_col):
-    """CSC matrix of `count` random sparse columns with unit 2-norm."""
+    """CSC matrix of `count` random sparse columns with unit 2-norm.
+
+    Each column draws its distinct rows (`choice`), then its values
+    (`standard_normal`). Every column holds the same number of entries, so
+    the canonical CSC is built directly: one argsort over the (count, nnz)
+    block sorts the rows of each column, and column c starts at c * nnz.
+    """
     nnz_per_col = min(nnz_per_col, dim)
-    rows = np.empty(count * nnz_per_col, dtype=np.int64)
-    vals = np.empty(count * nnz_per_col)
+    rows = np.empty((count, nnz_per_col), dtype=np.int64)
+    vals = np.empty((count, nnz_per_col))
     for c in range(count):
-        sl = slice(c * nnz_per_col, (c + 1) * nnz_per_col)
-        rows[sl] = rng.choice(dim, size=nnz_per_col, replace=False)
+        rows[c] = rng.choice(dim, size=nnz_per_col, replace=False)
         v = rng.standard_normal(nnz_per_col)
-        vals[sl] = v / np.linalg.norm(v)
-    cols = np.repeat(np.arange(count), nnz_per_col)
-    return sp.csc_array((vals, (rows, cols)), shape=(dim, count))
+        vals[c] = v / np.linalg.norm(v)
+    order = np.argsort(rows, axis=1)
+    indices = np.take_along_axis(rows, order, axis=1).ravel()
+    data = np.take_along_axis(vals, order, axis=1).ravel()
+    indptr = np.arange(0, count * nnz_per_col + 1, nnz_per_col)
+    return sp.csc_array((data, indices, indptr), shape=(dim, count))
 
 
 def gen_synthetic_matrix(rows, cols, rank, density, seed=None):

@@ -3,17 +3,32 @@ import csv
 import numpy as np
 import pytest
 
-from idsketch import cp_tensor
+from idsketch import bench, cp_tensor
 from idsketch.bench import (
     CSV_HEADER,
+    ERROR_NORM_KINDS,
     ExperimentConfig,
+    IdReport,
     derive_seed,
     generate_input,
     run_experiment,
     run_matrix_trial,
     run_tensor_trial,
+    summarize,
     write_csv,
 )
+from idsketch.cp_tensor import TENSOR_METHODS
+from idsketch.matrix_id import MATRIX_METHODS, UNSKETCHED_METHODS
+
+
+def count_term_grams(monkeypatch):
+    """List that gains one entry per term Gram computed."""
+    calls = []
+    original = cp_tensor._term_gram
+    monkeypatch.setattr(
+        cp_tensor, "_term_gram", lambda f, g: calls.append(1) or original(f, g)
+    )
+    return calls
 
 
 def matrix_config(**overrides):
@@ -126,22 +141,25 @@ class TestRunExperiment:
             cells = {(r["method"], r["sketch_dim"]) for r in csv.DictReader(fh)}
         assert cells == {("gram", ""), ("tensorsketch", "10")}
 
-    def test_term_gram_once_per_dataset(self, monkeypatch):
-        # the errors share one term Gram of the dataset; each gram trial still
-        # computes its own inside its timed sketch phase
-        calls = []
-        original = cp_tensor._term_gram
-        monkeypatch.setattr(
-            cp_tensor, "_term_gram", lambda f, g: calls.append(1) or original(f, g)
-        )
-        cfg = ExperimentConfig(
+    def gram_sweep(self, methods):
+        return ExperimentConfig(
             kind="tensor", sizes=[20], terms=24, rank=6, sketch_dim=10,
-            density=0.3, methods=["tensorsketch", "gaussian", "gram"], trials=2,
-            seed=5, n_modes=3,
+            density=0.3, methods=methods, trials=2, seed=5, n_modes=3,
         )
-        reports, _ = run_experiment(cfg)
+
+    def test_term_gram_once_per_dataset(self, monkeypatch):
+        # each gram trial computes its Gram inside its timed sketch phase;
+        # the errors, evaluated after every decomposition, reuse it
+        calls = count_term_grams(monkeypatch)
+        reports, _ = run_experiment(self.gram_sweep(["tensorsketch", "gaussian", "gram"]))
         assert all(r.status == "ok" for r in reports)
-        assert len(calls) == 1 + 2
+        assert len(calls) == 2
+
+    def test_term_gram_once_without_gram_trial(self, monkeypatch):
+        calls = count_term_grams(monkeypatch)
+        reports, _ = run_experiment(self.gram_sweep(["tensorsketch", "gaussian"]))
+        assert all(r.status == "ok" for r in reports)
+        assert len(calls) == 1
 
     def test_deterministic_method(self):
         reports, _ = run_experiment(
@@ -171,6 +189,127 @@ class TestRunExperiment:
         assert all(r.status == "ok" for r in by_method["gaussian"])
         ts_summary = next(s for s in summaries if s["method"] == "tensorsketch")
         assert ts_summary["n_ok"] == 0 and np.isnan(ts_summary["error_median"])
+
+
+def per_trial_sweep(cfg):
+    """Reference sweep: one `run_matrix_trial` / `run_tensor_trial` call per
+    trial, each error evaluated right after its decomposition."""
+    run_trial = run_matrix_trial if cfg.kind == "matrix" else run_tensor_trial
+    reports = []
+    for size in cfg.sizes:
+        data = generate_input(cfg, size)
+        for mi, method in enumerate(cfg.methods):
+            sketch_dim = None if method in UNSKETCHED_METHODS else cfg.sketch_dim
+            for trial in range(cfg.trials):
+                report = IdReport(
+                    kind=cfg.kind, method=method, size=size, terms=cfg.terms,
+                    rank=cfg.rank, sketch_dim=sketch_dim, density=cfg.density,
+                    trial=trial, seed=derive_seed(cfg.seed, 1, size, mi, trial),
+                )
+                try:
+                    _, err, st, wall = run_trial(
+                        data, method, cfg.rank, sketch_dim, report.seed
+                    )
+                    report.error_norm_kind = ERROR_NORM_KINDS[cfg.kind]
+                    report.error_estimate = err
+                    report.sketch_time_seconds = st
+                    report.wall_time_seconds = wall
+                except Exception as exc:
+                    report.status = f"failed: {exc}"
+                reports.append(report)
+    return reports, summarize(reports)
+
+
+def untimed(report):
+    """Every report field but the timings, floats as their exact bits, and
+    whether each timing is NaN."""
+    fields = {
+        k: v.hex() if isinstance(v, float) else v for k, v in vars(report).items()
+    }
+    for k in ("sketch_time_seconds", "wall_time_seconds"):
+        fields[k] = np.isnan(getattr(report, k))
+    return fields
+
+
+def csv_without_timings(path):
+    """CSV rows with each timing cell reduced to whether it is NaN."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for name in row:
+            if "_time" in name:
+                row[name] = row[name] == "nan"
+    return rows
+
+
+def assert_matches_per_trial_sweep(cfg, reports, summaries, tmp_path):
+    """The reports equal the reference sweep's in every untimed field, bit
+    for bit, and so does their CSV in every column but the timings."""
+    ref_reports, ref_summaries = per_trial_sweep(cfg)
+    assert [untimed(r) for r in reports] == [untimed(r) for r in ref_reports]
+    write_csv(tmp_path / "sweep.csv", reports, summaries)
+    write_csv(tmp_path / "ref.csv", ref_reports, ref_summaries)
+    assert csv_without_timings(tmp_path / "sweep.csv") == csv_without_timings(
+        tmp_path / "ref.csv"
+    )
+
+
+SWEEPS = {
+    "matrix": ExperimentConfig(
+        kind="matrix", sizes=[300], terms=60, rank=8, sketch_dim=18,
+        density=0.05, methods=list(MATRIX_METHODS), trials=2, seed=13,
+    ),
+    "tensor": ExperimentConfig(
+        kind="tensor", sizes=[20, 30], terms=24, rank=6, sketch_dim=10,
+        density=0.3, methods=list(TENSOR_METHODS), trials=2, seed=17, n_modes=3,
+    ),
+}
+
+
+def every_other_call_fails(monkeypatch, name):
+    """Make the error step `bench.<name>` raise on every second call; clear
+    the returned call list to start counting again."""
+    calls = []
+    original = getattr(bench, name)
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) % 2 == 0:
+            raise FloatingPointError("injected error-step failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, name, flaky)
+    return calls
+
+
+class TestErrorsAfterDecompositions:
+    """The sweep evaluates a dataset's errors after all its decompositions;
+    its reports equal those of one trial after the other."""
+
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_reports_match_per_trial_replay(self, kind, tmp_path):
+        cfg = SWEEPS[kind]
+        reports, summaries = run_experiment(cfg)
+        assert {r.method for r in reports} == set(cfg.methods)
+        assert all(r.status == "ok" for r in reports)
+        assert_matches_per_trial_sweep(cfg, reports, summaries, tmp_path)
+
+    @pytest.mark.parametrize(
+        "kind, error_step",
+        [("tensor", "cp_diff_norm"), ("matrix", "est_spectral_norm")],
+    )
+    def test_failed_error_step(self, kind, error_step, monkeypatch, tmp_path):
+        cfg = SWEEPS[kind]
+        calls = every_other_call_fails(monkeypatch, error_step)
+        reports, summaries = run_experiment(cfg)
+        failed = [r for r in reports if r.status != "ok"]
+        assert len(failed) == len(reports) // 2
+        for r in failed:
+            assert r.status == "failed: injected error-step failure"
+            assert np.isnan(r.sketch_time_seconds) and np.isnan(r.wall_time_seconds)
+            assert np.isnan(r.error_estimate) and r.error_norm_kind == ""
+        calls.clear()
+        assert_matches_per_trial_sweep(cfg, reports, summaries, tmp_path)
 
 
 class TestCsv:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 from click.testing import CliRunner
 
+from idsketch import cp_tensor
 from idsketch.cli import main
 from idsketch.mmio import read_matrix_market, write_matrix_market
 
@@ -96,6 +97,21 @@ class TestTensorId:
         assert len(payload["id"]["j"]) == 5
         assert len(payload["id"]["new_svalues"]) == 5
         assert payload["error_norm_kind"] == "frobenius-exact"
+
+    def test_gram_method_computes_one_term_gram(self, tmp_path, monkeypatch):
+        # the error reuses the Gram that the gram method's sketch computed
+        cp = tmp_path / "cp"
+        invoke("gen", "tensor", "--modes", "3", "--rows", "40", "--cols", "20",
+               "--rank", "5", "--density", "0.1", "--seed", "1", "--out", str(cp))
+        calls = []
+        original = cp_tensor._term_gram
+        monkeypatch.setattr(
+            cp_tensor, "_term_gram", lambda f, g: calls.append(1) or original(f, g)
+        )
+        res = invoke("tensor-id", str(cp), "--rank", "5", "--method", "gram")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["error_norm_kind"] == "frobenius-exact"
+        assert len(calls) == 1
 
     def test_rank_too_large_exit_code(self, tmp_path):
         cp = tmp_path / "cp"

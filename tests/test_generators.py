@@ -1,7 +1,79 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from idsketch.generators import gen_synthetic_matrix, gen_synthetic_tensor
+from idsketch.generators import (
+    _sparse_unit_columns,
+    gen_synthetic_matrix,
+    gen_synthetic_tensor,
+)
+
+
+def digest(arrays, dtype):
+    """First 16 hex digits of the SHA-256 of the arrays' bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()[:16]
+
+
+def csc_digests(mats):
+    """Digests of data, indices (as <i8) and indptr (as <i8) of canonical
+    CSC matrices; a matrix out of canonical form fails."""
+    assert all(m.format == "csc" and m.has_canonical_format for m in mats)
+    return (
+        digest([m.data for m in mats], "<f8"),
+        digest([m.indices for m in mats], "<i8"),
+        digest([m.indptr for m in mats], "<i8"),
+    )
+
+
+# The generators' output at fixed seeds: the random stream (row choice,
+# then values, per column) and the CSC layout. A changed digest changes
+# every synthetic benchmark input; it is not a figure to update.
+MATRIX_DIGESTS = {
+    7: ("03541df947b729c8", "f38588494bc52e69", "b7df6adba74f6442"),
+    1234: ("b9563416bfb783b8", "6793b30be4eab6ba", "90b8162c1bf19e91"),
+}
+TENSOR_DIGESTS = {
+    7: ("ca07b98e042dc24e", "af8324dc61155983", "f810a4ce751d352b", "18934d6d0204fe57"),
+    1234: ("b5c4b4658ccb29ef", "fc12fa40daea0b21", "f810a4ce751d352b", "18934d6d0204fe57"),
+}
+
+
+@pytest.mark.parametrize("dim, count, nnz", [(40, 7, 6), (5, 3, 8)])
+def test_sparse_unit_columns_match_the_coo_build(dim, count, nnz):
+    # reference: the same draws through COO, which sorts each column's rows
+    got = _sparse_unit_columns(np.random.default_rng(5), dim, count, nnz)
+    rng = np.random.default_rng(5)
+    nnz = min(nnz, dim)
+    rows, vals = [], []
+    for _ in range(count):
+        rows.append(rng.choice(dim, size=nnz, replace=False))
+        v = rng.standard_normal(nnz)
+        vals.append(v / np.linalg.norm(v))
+    cols = np.repeat(np.arange(count), nnz)
+    ref = sp.csc_array(
+        (np.concatenate(vals), (np.concatenate(rows), cols)), shape=(dim, count)
+    )
+    assert got.has_canonical_format
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("seed", sorted(MATRIX_DIGESTS))
+def test_matrix_bytes_are_pinned(seed):
+    a = gen_synthetic_matrix(300, 80, 10, 0.05, seed=seed)
+    assert csc_digests([a]) == MATRIX_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(TENSOR_DIGESTS))
+def test_tensor_bytes_are_pinned(seed):
+    x = gen_synthetic_tensor(3, 50, 20, 8, 0.1, seed=seed)
+    got = (*csc_digests(x.factors), digest([x.weights], "<f8"))
+    assert got == TENSOR_DIGESTS[seed]
 
 
 class TestSyntheticMatrix:
