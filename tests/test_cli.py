@@ -1,10 +1,15 @@
 import json
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
-from idsketch import cp_tensor
-from idsketch.cli import main
+from idsketch import cli, cp_tensor
+from idsketch.bench import run_matrix_trial
+from idsketch.cli import _emit, main
+from idsketch.cp_tensor import TENSOR_METHODS
+from idsketch.generators import gen_synthetic_matrix
+from idsketch.matrix_id import MATRIX_METHODS
 from idsketch.mmio import read_matrix_market, write_matrix_market
 
 
@@ -160,3 +165,107 @@ def test_id_commands_share_documented_options():
     assert listed["matrix-id"] == listed["tensor-id"]
     assert [o[0] for o in listed["matrix-id"]] == [
         "--rank", "--method", "--oversample", "--seed", "--out"]
+
+
+def assert_report_text(text, payload):
+    """`text` is json.dumps(payload, indent=2, allow_nan=False) plus a newline.
+    A mismatch names its first offset: pytest's own diff of a megabyte-long
+    report takes minutes."""
+    want = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if text != want:
+        i = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b),
+                 min(len(text), len(want)))
+        lo = max(i - 40, 0)
+        raise AssertionError(f"report text differs at offset {i}: "
+                             f"{text[lo:i + 40]!r} != {want[lo:i + 40]!r}")
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """The payloads the ID commands hand to `_emit`, in call order."""
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda p, out: payloads.append(p) or emit(p, out))
+    return payloads
+
+
+@pytest.fixture(scope="module")
+def id_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    mtx, cp = root / "m.mtx", root / "cp"
+    invoke("gen", "matrix", "--rows", "300", "--cols", "80", "--rank", "10",
+           "--density", "0.03", "--seed", "1", "--out", str(mtx))
+    invoke("gen", "tensor", "--modes", "3", "--rows", "40", "--cols", "20",
+           "--rank", "5", "--density", "0.1", "--seed", "1", "--out", str(cp))
+    return {"matrix-id": str(mtx), "tensor-id": str(cp)}
+
+
+class TestReportText:
+    """`_emit` writes json.dumps(payload, indent=2, allow_nan=False) byte for
+    byte, though it renders id.p itself."""
+
+    @pytest.mark.parametrize(
+        "command, method",
+        [("matrix-id", m) for m in MATRIX_METHODS] + [("tensor-id", m) for m in TENSOR_METHODS],
+    )
+    @pytest.mark.parametrize("rank", [1, 5])
+    def test_every_method_stdout_and_out(self, tmp_path, id_inputs, emitted,
+                                         command, method, rank):
+        args = [command, id_inputs[command], "--rank", str(rank), "--method", method]
+        res = invoke(*args)
+        assert res.exit_code == 0, res.output
+        assert len(emitted[0]["id"]["p"]) == rank
+        assert_report_text(res.stdout, emitted[0])
+        out = tmp_path / "id.json"
+        res = invoke(*args, "--out", str(out))
+        assert res.exit_code == 0, res.output
+        assert_report_text(out.read_text(), emitted[1])
+        assert res.stdout == ""
+
+    def test_cli_files_shape(self, tmp_path, emitted):
+        # the 32000 x 500 rank-100 report of the cli-files benchmark workload
+        mtx, out = tmp_path / "a.mtx", tmp_path / "id.json"
+        write_matrix_market(mtx, gen_synthetic_matrix(32_000, 500, 100, 0.005, seed=0))
+        res = invoke("matrix-id", str(mtx), "--rank", "100", "--out", str(out))
+        assert res.exit_code == 0, res.output
+        assert np.shape(emitted[0]["id"]["p"]) == (100, 500)
+        assert_report_text(out.read_text(), emitted[0])
+
+    def report(self, path="a.mtx", p=None):
+        a = gen_synthetic_matrix(60, 12, 3, 0.2, seed=3)
+        result, err, _, wall = run_matrix_trial(a, "countsketch", 3, 8, 0)
+        ident = result.to_dict()
+        if p is not None:
+            ident["p"] = p
+        return {"input": path, "rows": 60, "cols": 12, "error_estimate": err,
+                "wall_time_seconds": wall, "id": ident}
+
+    def test_float_formats(self, capsys):
+        # where float repr switches between fixed and exponent form, and the
+        # signed zero, the extremes and the subnormals
+        p = [[-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.0001],
+             [1e15, 9999999999999998.0, -2.2250738585072014e-308, 0.1, 1 / 3, -1e-300]]
+        payload = self.report(p=p)
+        _emit(payload, None)
+        assert_report_text(capsys.readouterr().out, payload)
+
+    @pytest.mark.parametrize("p", [[], [[]], [[1.0], []]], ids=["none", "empty", "empty-last"])
+    def test_empty_lists(self, capsys, p):
+        payload = self.report(p=p)
+        _emit(payload, None)
+        assert_report_text(capsys.readouterr().out, payload)
+
+    @pytest.mark.parametrize("path", [
+        'in "quotes".mtx',
+        "back\\slash\\a.mtx",
+        "caf\u00e9/\u6570\u636e/\U0001f600.mtx",
+        "\\u0000p",             # the sentinel's escaped form, as typed text
+        '"\\u0000p"',
+        "\t\x7f\u2028.mtx",
+    ])
+    def test_input_path_text(self, tmp_path, path):
+        payload = self.report(path)
+        out = tmp_path / "id.json"
+        _emit(payload, str(out))
+        assert_report_text(out.read_text(), payload)
+        assert json.loads(out.read_text())["input"] == path

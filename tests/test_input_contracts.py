@@ -9,13 +9,13 @@ import scipy.sparse as sp
 from click.testing import CliRunner
 from scipy.io import mmwrite
 
-from idsketch.bench import ExperimentConfig, run_tensor_trial
+from idsketch.bench import ExperimentConfig, run_matrix_trial, run_tensor_trial
 from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, _emit, main
 from idsketch.cp_tensor import (
     CpTensor, cp_norm, decompose, gram_hadamard, gram_tensor_id, load_cp_dir,
     save_cp_dir,
 )
-from idsketch.generators import gen_synthetic_tensor
+from idsketch.generators import gen_synthetic_matrix, gen_synthetic_tensor
 from idsketch.linalg import as_dense, cpqr, triangular_solve
 from idsketch.matrix_id import MATRIX_METHODS, countsketch_id, matrix_sketch
 from idsketch.matrix_id import decompose as matrix_decompose
@@ -462,6 +462,25 @@ def test_malformed_bench_config_is_an_input_error(tmp_path, config):
 def test_report_with_nan_is_not_written():
     with pytest.raises(ValueError):
         _emit({"error_estimate": float("nan")}, None)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_report_with_non_finite_coefficient_is_not_written(tmp_path, monkeypatch, value):
+    # json's allow_nan=False error, which the CLI maps to exit 2 (not 3)
+    def trial(*args):
+        result, err, sketch, wall = run_matrix_trial(*args)
+        result.coeffs[-1, 1] = value
+        return result, err, sketch, wall
+
+    monkeypatch.setattr("idsketch.cli.run_matrix_trial", trial)
+    mtx, out = tmp_path / "m.mtx", tmp_path / "id.json"
+    write_matrix_market(mtx, gen_synthetic_matrix(200, 30, 5, 0.1, seed=0))
+    for extra in ([], ["--out", str(out)]):
+        res = CliRunner().invoke(main, ["matrix-id", str(mtx), "--rank", "5", *extra])
+        assert res.exit_code == EXIT_ARGUMENT == 2
+        assert res.output == (
+            f"error: Out of range float values are not JSON compliant: {value!r}\n")
+    assert not out.exists()
 
 
 def unsorted_csc_with_zeros(dtype):
