@@ -7,9 +7,13 @@ its sketch family advertises:
 - CountSketch of sparse input: one scatter over the nonzeros,
   O(nnz + L cols); see `CountSketchOp.apply`.
 - TensorSketch: per-mode CountSketches and FFTs of the exact output length.
-- Subsampled Fourier sketch: full-length mixed-radix FFTs of dense input;
-  for sparse input only the sampled DFT rows at the nonzero input rows (a
-  pruned-output DFT, Sorensen & Burrus 1993).
+- Subsampled Fourier sketch: full-length mixed-radix real FFTs (the half
+  spectrum) of dense input; for sparse input only the sampled DFT rows at
+  the nonzero input rows (a pruned-output DFT, Sorensen & Burrus 1993).
+
+The FFTs are numpy's (`numpy.fft`, the C++ pocketfft that scipy.fft also
+runs); `scipy.fft` and the `scipy.special` it loads would add 70-90 ms of
+import time (`python -X importtime`, 2-core Xeon) that no path here needs.
 
 The test suite builds the dense oracles itself (`tests/conftest.py`), from
 the operators' hash arrays and seeds.
@@ -21,8 +25,10 @@ independent. The Gaussian sketch is one operator, `KrGaussianOp`;
 drawn whole from numpy's generator on the `SeedSequence([seed, n])` child
 on every apply and multiplied into the input, so the sketch equals a full
 materialization. Hash-based sketches (CountSketch, TensorSketch) replay
-identically across platforms for a fixed seed; Gaussian streams are
-reproducible for a fixed seed and numpy version.
+identically for a fixed seed; TensorSketch's bits are those of numpy's
+FFT, pocketfft's C++ code from numpy 2.0 on, the version pyproject.toml
+requires. Gaussian streams are reproducible for a fixed seed and numpy
+version.
 
 All operators are immutable after construction and safe to share across
 threads; `apply` is reentrant.
@@ -33,10 +39,9 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import fft as _fft
 
 _SRFT_BLOCK_COLS = 256  # dense columns per FFT block: on 32000 x 500 as fast
-# as one whole FFT, with a 189 MiB transient peak, not 366 MiB (tracemalloc)
+# as one whole rfft, with a 126 MiB transient peak, not 246 MiB (tracemalloc)
 _SRFT_ROW_CHUNK = 8192  # nonzero sparse rows per block of sampled DFT entries
 # a sketch of finite input that is not finite overflowed
 _SKETCH_OVERFLOW = "the sketch overflowed: it has non-finite entries"
@@ -214,10 +219,10 @@ class TensorSketchOp:
         """
         weights = _check_factors(factors, len(self.mode_ops), weights)
         spectrum = reduce(np.multiply, (
-            _fft.rfft(op.apply(factor), axis=0)
+            np.fft.rfft(op.apply(factor), axis=0)
             for op, factor in zip(self.mode_ops, factors)
         ))
-        out = _fft.irfft(spectrum, n=self.out_dim, axis=0) * weights
+        out = np.fft.irfft(spectrum, n=self.out_dim, axis=0) * weights
         return _finite_sketch(out, factors)
 
 
@@ -231,7 +236,9 @@ class SrftOp:
     interleaved parts: output rows 2t and 2t+1 hold the real and imaginary
     parts of sampled row t, giving a (2 * out_dim, cols) array.
 
-    Dense input is transformed by FFTs, O(cols I log I). Sparse input never
+    Dense input is transformed by real FFTs, O(cols I log I), which keep
+    the half spectrum, rows 0..I/2: a sampled row k > I/2 is the conjugate
+    of row I - k, since the sign-flipped input is real. Sparse input never
     runs a transform: the sampled entries exp(-2 pi i ((k_t n) mod I) / I)
     sign[n] are formed for its nonzero rows n only and multiplied into the
     input, O(out_dim nnz + I). The phase index (k_t n) mod I is exact in
@@ -259,11 +266,14 @@ class SrftOp:
         if sp.issparse(a):
             z = self._apply_sparse(a)
         else:
+            mirror = self.sample_rows > self.in_dim // 2
+            half_rows = np.minimum(self.sample_rows, self.in_dim - self.sample_rows)
             z = np.empty((a.shape[1], self.out_dim), dtype=np.complex128)
             for start in range(0, a.shape[1], _SRFT_BLOCK_COLS):
                 stop = start + _SRFT_BLOCK_COLS
                 block = self.sign[:, None] * a[:, start:stop]
-                z[start:stop] = _fft.fft(block, axis=0)[self.sample_rows].T
+                z[start:stop] = np.fft.rfft(block, axis=0)[half_rows].T
+            z[:, mirror] = z[:, mirror].conj()
         # complex (cols, out_dim) viewed as interleaved (re, im) output rows
         return _finite_sketch(np.ascontiguousarray(z.view(np.float64).T), [a])
 

@@ -1,7 +1,7 @@
-"""The README's CLI block runs as written.
+"""The README's Python quick tour and CLI block run as written.
 
-The `bench` line of that block, the bench config example and the Python
-quick tour are not run here yet.
+The `bench` line of the CLI block and the bench config example are not
+run here yet.
 """
 
 import json
@@ -17,10 +17,22 @@ from idsketch.cli import main
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def fenced_blocks():
+    """(language, text) of every fenced block of the README."""
+    return re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_quick_tour_runs():
+    (tour,) = [text for lang, text in fenced_blocks() if lang == "python"]
+    names = {}
+    exec(compile(tour, str(README), "exec"), names)
+    assert names["approx"].shape == (20_000, 500)
+    assert names["rel_err"] < 1e-4
+
+
 def cli_lines():
     """The `idsketch ...` lines of the README's fenced block that runs `gen`."""
-    blocks = re.findall(r"^```\w*\n(.*?)^```$", README.read_text(), re.M | re.S)
-    (block,) = [text for text in blocks if "idsketch gen " in text]
+    (block,) = [text for _, text in fenced_blocks() if "idsketch gen " in text]
     return [line for line in block.splitlines() if line.startswith("idsketch ")]
 
 

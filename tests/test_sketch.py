@@ -319,6 +319,18 @@ class TestSrft:
         ref[1::2] = z.imag
         assert np.array_equal(op.apply(a), ref)
 
+    @pytest.mark.parametrize("rows", [96, 97])
+    def test_dense_output_every_row(self, rows):
+        # every DFT row sampled: row 0, the Nyquist row I/2 of even I and
+        # the rows past I/2, which are conjugates of the rfft's half spectrum
+        a = np.random.default_rng(rows).standard_normal((rows, 7))
+        op = SrftOp(rows, rows, seed=rows)
+        z = scipy.fft.fft(op.sign[:, None] * a, axis=0)[op.sample_rows]
+        ref = np.empty((2 * rows, 7))
+        ref[0::2] = z.real
+        ref[1::2] = z.imag
+        assert np.array_equal(op.apply(a), ref)
+
     def test_sparse_blocked_equals_dense(self, monkeypatch):
         rng = np.random.default_rng(17)
         dense = rng.standard_normal((50, 30))
