@@ -8,11 +8,10 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cp_tensor import TENSOR_METHODS, cp_diff_norm
 from .cp_tensor import decompose as decompose_tensor
-from .estimators import _norm, est_spectral_norm, id_residual_operator
+from .estimators import est_spectral_norm, id_residual_operator
 from .generators import gen_synthetic_matrix, gen_synthetic_tensor
 from .linalg import _require_finite
 from .matrix_id import MATRIX_METHODS, UNSKETCHED_METHODS
@@ -127,19 +126,9 @@ def _matrix_error(a, decomp, seed):
     the trial seed."""
     apply, adjoint = id_residual_operator(a, decomp)
     est = est_spectral_norm(
-        apply, adjoint, cols=a.shape[1], seed=derive_seed(seed, 0xE57),
-        scale=_residual_scale(a, decomp),
+        apply, adjoint, cols=a.shape[1], seed=derive_seed(seed, 0xE57)
     )
     return _finite_error(est.value)
-
-
-def _residual_scale(a, decomp):
-    """||A||_F (1 + ||P||_F), the magnitude that the products of the ID
-    residual A (E P - I) carry, in O(nnz + k cols); FloatingPointError
-    beyond the float64 range."""
-    entries = a.data if sp.issparse(a) else np.asarray(a).ravel(order="K")
-    scale = _norm(entries) * (1.0 + _norm(decomp.coeffs.ravel()))
-    return _require_finite(scale, "norm beyond the float64 range")
 
 
 def _tensor_error(x, result, seed):
@@ -150,7 +139,9 @@ def _tensor_error(x, result, seed):
 
 def run_matrix_trial(a, method, rank, sketch_dim, seed):
     """Decompose `a`, timing the sketch and ID phases separately, and
-    estimate the spectral-norm error of the result."""
+    estimate the spectral-norm error of the result by `est_spectral_norm`
+    over `id_residual_operator(a, decomp)`; FloatingPointError for a
+    subnormal or overflowing `a`, as there, or a non-finite estimate."""
     decomp, sketch_time, wall = decompose_matrix(a, method, rank, sketch_dim, seed)
     return decomp, _matrix_error(a, decomp, seed), sketch_time, wall
 

@@ -16,7 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.blas import daxpy
+
+from .linalg import _require_finite
 
 _ADJOINT_RTOL = 1e-10
 
@@ -30,8 +33,7 @@ class NormEstimate:
     probes: int
 
 
-def est_spectral_norm(apply, apply_adjoint, cols, iters=10, probes=1, seed=None,
-                      scale=None):
+def est_spectral_norm(apply, apply_adjoint, cols, iters=10, probes=1, seed=None):
     """Estimate the spectral norm of the operator pair from below.
 
     Runs `iters` GKL steps from each of `probes` independent Gaussian
@@ -48,23 +50,21 @@ def est_spectral_norm(apply, apply_adjoint, cols, iters=10, probes=1, seed=None,
     ----------
     apply, apply_adjoint : callable
         The operator B and its adjoint, each mapping a 1-D vector to a
-        new 1-D vector, which the estimate may overwrite. Checked for
-        consistency on a random probe pair x, y:
-        |<Bx, y> - <x, B'y>| may be at most 1e-10 scale ||x|| ||y|| when
-        `scale` is given, else 1e-10 max(||Bx|| ||y|| + ||x|| ||B'y||, 1).
+        new 1-D vector, which the estimate may overwrite. Checked on a
+        random probe pair x, y: |<Bx, y> - <x, B'y>| may be at most
+        1e-10 s ||x|| ||y||, with s the magnitude the products carry:
+        `apply.scale` if set (finite and nonnegative, else ValueError),
+        else the probe's own ||Bx|| / ||x|| + ||B'y|| / ||y||.
     cols : int
         Domain dimension of `apply`.
     iters, probes : int
         GKL steps per start and number of starts.
-    scale : float, optional
-        The magnitude the products carry, against which their round-off
-        is measured; for the ID residual A (E P - I) that is
-        ||A||_F (1 + ||P||_F). Must be finite and nonnegative.
     """
     if cols < 1:
         raise ValueError("cols must be positive")
     if iters < 0 or probes < 1:
         raise ValueError("need iters >= 0 and probes >= 1")
+    scale = getattr(apply, "scale", None)
     if scale is not None and not 0.0 <= scale < math.inf:
         raise ValueError(f"scale must be finite and nonnegative, got {scale!r}")
     rng = np.random.default_rng(seed)
@@ -86,13 +86,10 @@ def _check_adjoint(apply, apply_adjoint, cols, rng, scale):
     lhs = float(bx @ y)
     rhs = float(x @ bty)
     # the long vectors bx and y are not used again: normalize them in place
-    if scale is None:
-        tol = _ADJOINT_RTOL * max(
-            _normalize(bx) * _normalize(y) + _norm(x) * _norm(bty), 1.0
-        )
-    else:
-        tol = _ADJOINT_RTOL * scale * _norm(x) * _normalize(y)
-    if abs(lhs - rhs) > tol:
+    x_norm, y_norm = _norm(x), _normalize(y)
+    if scale is None:  # the probe's own; y is empty for an operator onto no rows
+        scale = _normalize(bx) / x_norm + _norm(bty) / (y_norm or 1.0)
+    if abs(lhs - rhs) > _ADJOINT_RTOL * scale * x_norm * y_norm:
         raise ValueError(
             "operator pair failed the adjoint test: "
             f"<Bx, y>={lhs!r} vs <x, B'y>={rhs!r}"
@@ -188,11 +185,17 @@ def id_residual_operator(a, decomp):
 
     The residual is A (E coeffs - I), where E places the k entries of
     coeffs @ x on the selected columns. It is never formed: each direction
-    costs one product with `a` plus small dense ones.
+    costs one product with `a` plus small dense ones. `apply.scale`, the
+    magnitude the products carry, is ||A||_F (1 + ||coeffs||_F). Raises
+    FloatingPointError when that is beyond the float64 range, or when the
+    largest |entry| of `a` is subnormal (positive, below 2.2e-308).
     """
     cols = decomp.cols
     coeffs = decomp.coeffs
     a_t = a.T
+    entries = a.data if sp.issparse(a) else np.asarray(a).ravel(order="K")
+    if _scale_exponent(entries) <= -1022:  # 0 < max |entry| < 2**-1022
+        raise FloatingPointError("the largest entry of a is subnormal")
 
     def apply(x):
         z = -x
@@ -203,4 +206,7 @@ def id_residual_operator(a, decomp):
         u = np.asarray(a_t @ y).ravel()
         return coeffs.T @ u[cols] - u
 
+    apply.scale = _require_finite(
+        _norm(entries) * (1.0 + _norm(coeffs.ravel())), "norm beyond the float64 range"
+    )
     return apply, apply_adjoint

@@ -5,8 +5,9 @@ every algorithm here consumes columns); sparse matrices are scipy CSC.
 The validators below are the entry points that enforce the container
 invariants (real finite entries, sorted indices, no stored zeros). Only
 this module validates and converts containers (`as_matrix`, `dense`);
-elsewhere only the SRFT and CountSketch operators test for sparse input,
-each to pick its kernel for it.
+elsewhere `SrftOp.apply` and `CountSketchOp.apply` (to pick a kernel),
+`sketch._finite_sketch` and `estimators.id_residual_operator` (to read
+the entries) test for sparse input.
 """
 
 import numpy as np

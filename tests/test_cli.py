@@ -77,6 +77,15 @@ class TestMatrixId:
         payload = json.loads(res.output)["id"]
         assert payload["numerical_rank"] == 3 and payload["rank_deficient"]
 
+    def test_subnormal_input_exit_code(self, tmp_path):
+        # every entry below 2.2e-308 used to fail the adjoint test: exit 2
+        mtx = tmp_path / "subnormal.mtx"
+        a = gen_synthetic_matrix(300, 40, 8, 0.1, seed=0) * 2.0**-1060
+        write_matrix_market(mtx, a)
+        res = invoke("matrix-id", str(mtx), "--rank", "8")
+        assert res.exit_code == 3, res.output
+        assert "subnormal" in res.output
+
     def test_argument_error_exit_code(self, tmp_path):
         mtx = tmp_path / "m.mtx"
         invoke("gen", "matrix", "--rows", "100", "--cols", "40", "--rank", "5",

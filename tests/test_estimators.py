@@ -1,4 +1,4 @@
-from functools import cache
+from functools import cache, wraps
 
 import numpy as np
 import pytest
@@ -6,7 +6,9 @@ import pytest
 from idsketch.bench import run_matrix_trial
 from idsketch.estimators import est_spectral_norm, id_residual_operator
 from idsketch.generators import gen_synthetic_matrix
-from idsketch.matrix_id import MATRIX_METHODS, countsketch_id, matrix_id
+from idsketch.matrix_id import (
+    MATRIX_METHODS, UNSKETCHED_METHODS, countsketch_id, decompose, matrix_id,
+)
 
 from conftest import matrix_operator
 
@@ -17,10 +19,12 @@ def id_matrix():
 
 
 def counted(apply, adjoint):
-    """The operator pair with one shared call counter."""
+    """The operator pair with one shared call counter; each counting
+    function keeps the attributes of the one it wraps, `scale` among them."""
     calls = []
 
     def wrap(f):
+        @wraps(f)
         def counted_f(v):
             calls.append(None)
             return f(v)
@@ -37,8 +41,9 @@ class TestEstSpectralNorm:
         assert est.iterations == 20 and est.probes == 3
 
     def test_zero_operator(self):
-        apply, adjoint = matrix_operator(np.zeros((4, 3)))
-        assert est_spectral_norm(apply, adjoint, cols=3, seed=1).value == 0.0
+        for rows in (4, 0):  # 0: an operator onto no rows, whose probe y is empty
+            apply, adjoint = matrix_operator(np.zeros((rows, 3)))
+            assert est_spectral_norm(apply, adjoint, cols=3, seed=1).value == 0.0
 
     def test_never_exceeds_true_norm(self):
         rng = np.random.default_rng(2)
@@ -92,18 +97,27 @@ class TestEstSpectralNorm:
         b = rng.standard_normal((10, 8)) * 1e-12
         apply, _ = matrix_operator(a)
         _, wrong_adjoint = matrix_operator(b)
-        est_spectral_norm(apply, wrong_adjoint, cols=8, seed=0)
         with pytest.raises(ValueError, match="adjoint"):
-            est_spectral_norm(
-                apply, wrong_adjoint, cols=8, seed=0, scale=np.linalg.norm(a)
-            )
+            est_spectral_norm(apply, wrong_adjoint, cols=8, seed=0)
+        apply.scale = np.linalg.norm(a)
+        with pytest.raises(ValueError, match="adjoint"):
+            est_spectral_norm(apply, wrong_adjoint, cols=8, seed=0)
+
+    def test_tiny_negated_adjoint_rejected(self):
+        # B against -B': under the floor of 1e-10 the pair passed and the
+        # estimate read 1.22e-12, a number for an operator pair that is wrong
+        b = np.random.default_rng(0).standard_normal((300, 40)) * 1e-13
+        apply, adjoint = matrix_operator(b)
+        with pytest.raises(ValueError, match="adjoint"):
+            est_spectral_norm(apply, lambda y: -adjoint(y), cols=40, seed=0)
 
     @pytest.mark.parametrize("scale", [np.inf, np.nan, -1.0])
     def test_scale_must_be_finite(self, scale):
         # an infinite tolerance would pass any pair
         apply, adjoint = matrix_operator(np.eye(3))
+        apply.scale = scale
         with pytest.raises(ValueError, match="scale must be finite"):
-            est_spectral_norm(apply, adjoint, cols=3, scale=scale)
+            est_spectral_norm(apply, adjoint, cols=3)
 
     @pytest.mark.parametrize(
         "settings", [{}, {"iters": 4, "probes": 3}, {"iters": 1, "probes": 2}],
@@ -189,6 +203,23 @@ class TestExtremeScales:
         base = run_matrix_trial(id_matrix(), method, 20, 30, 9)[1]
         err = run_matrix_trial(id_matrix() * factor, method, 20, 30, 9)[1]
         assert err == pytest.approx(base * factor, rel=1e-6)
+
+    @pytest.mark.parametrize("factor", [1e6, 2.0**20, 1e300], ids=["1e6", "2^20", "1e300"])
+    def test_readme_recipe_passes_the_adjoint_test(self, factor):
+        # the recipe's pair used to carry no scale, and the probe's own
+        # tolerance, floored at 1e-10, refused correct pairs as bad input:
+        # up to 10 of these 20 seeds per method (about 0.15 s per factor)
+        a = id_matrix() * factor
+        refused = []
+        for method in MATRIX_METHODS:
+            sketch_dim = None if method in UNSKETCHED_METHODS else 30
+            d = decompose(a, method, 20, sketch_dim, seed=9)[0]
+            for seed in range(20):
+                try:
+                    est_spectral_norm(*id_residual_operator(a, d), cols=120, seed=seed)
+                except ValueError:
+                    refused.append((method, seed))
+        assert refused == []
 
     def test_overflowing_residual_scale_is_a_numerical_failure(self):
         # ||A||_F beyond the float64 range: no tolerance to test against

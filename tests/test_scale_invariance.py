@@ -90,3 +90,14 @@ def test_tensor_scaled_by_power_of_two(method, e):
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = run_tensor_trial(scaled_tensor(e), method, 10, sketch_dim, 5)[:2]
     assert_scaled(tensor_base(method), scaled, e)
+
+
+@pytest.mark.parametrize("e", [-1060, -1030])
+@pytest.mark.parametrize("method", ["deterministic", "countsketch", "srft", "gaussian"])
+def test_subnormal_matrix_is_a_numerical_failure(method, e):
+    # below 2^-1022 the products lose bits: at 2^-1060 every method's
+    # adjoint test refused the pair as bad input (ValueError), and at
+    # 2^-1030, where the largest entry (1.7e-311) is subnormal too, the
+    # error came back as a number
+    with pytest.raises(FloatingPointError, match="subnormal"):
+        run_matrix_trial(matrix() * 2.0**e, method, 20, 30, 9)

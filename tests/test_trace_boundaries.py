@@ -8,6 +8,7 @@ from pathlib import Path
 
 import idsketch
 import idsketch.bench as bench
+from idsketch.estimators import est_spectral_norm
 from idsketch.generators import gen_synthetic_matrix, gen_synthetic_tensor
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -55,3 +56,20 @@ def test_trials_run_through_traced_boundaries():
         "cp_tensor.cp_diff_norm", "estimators.est_spectral_norm",
     ):
         assert name in names, name
+
+
+def test_traced_residual_pair_keeps_its_scale():
+    # the benchmark's 200k op unpacks the pair the tracer returns, so the
+    # adjoint test sees the pair's scale only if the wrapper keeps it
+    tracer = load_tracing().Tracer(idsketch)
+    a = gen_synthetic_matrix(200, 40, 8, 0.1, seed=0)
+    d = idsketch.countsketch_id(a, 6, 10, seed=1)
+    untraced = idsketch.id_residual_operator(a, d)[0]
+    tracer.install()
+    try:
+        apply, adjoint = idsketch.id_residual_operator(a, d)
+        est_spectral_norm(apply, adjoint, cols=40, seed=0)
+    finally:
+        tracer.uninstall()
+    assert apply.__wrapped__.scale == apply.scale == untraced.scale > 0.0
+    assert "estimators.residual_apply" in {span[0] for span in tracer.spans}
