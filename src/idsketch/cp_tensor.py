@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.lapack import dpstrf
 
-from .estimators import _scaled_root
-from .linalg import _require_finite, as_matrix, dense
+from .linalg import _require_finite, _scale_exponent, _scaled_root, as_matrix, dense
 from .matrix_id import (
     InterpolativeDecomposition,
     _check_id_args,
@@ -61,21 +60,22 @@ class CpTensor:
         sign = np.where(weights < 0.0, -1.0, 1.0)
         weights = np.abs(weights)
         normalized = []
-        tiny = np.finfo(np.float64).tiny
         # an overflow leaves non-finite weights, which raise below
         with np.errstate(divide="ignore", over="ignore"):
             for factor in factors:
                 # not f * f: on a sparse factor that is a sparse-sparse product
                 norms = np.sqrt((factor ** 2).sum(axis=0))
-                bad = np.isinf(norms) | (norms < np.sqrt(tiny))
+                # squares out of range (2**-511 is the root of the smallest
+                # normal): norm each column times its own power of two, back in
+                # canonical CSC if sparse (the product is COO), so summed alike
+                bad = np.isinf(norms) | (norms < 2.0**-511)
                 if bad.any():
-                    # squares out of range: take those norms on each column
-                    # scaled by its own power of two, exact unless subnormal
                     peak = dense(abs(factor).max(axis=0))
-                    if np.any((peak > 0.0) & (peak < tiny)):
+                    e = np.array([_scale_exponent(p) for p in peak])
+                    if np.any(e <= -1022):
                         raise FloatingPointError("a factor column is subnormal")
-                    e = np.frexp(peak)[1]
-                    root = np.sqrt(((factor * np.ldexp(1.0, -e)) ** 2).sum(axis=0))
+                    scaled = as_matrix(factor * np.ldexp(1.0, -e))
+                    root = np.sqrt((scaled ** 2).sum(axis=0))
                     norms = np.where(bad, np.ldexp(root, e), norms)
                 # columns already unit to round-off are kept bit-identical, so
                 # selecting terms out of a normalized tensor is an exact

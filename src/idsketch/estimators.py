@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy
 
-from .linalg import _require_finite
+from .linalg import _norm, _normalize, _require_finite, _scale_exponent
 
 _ADJOINT_RTOL = 1e-10
 
@@ -72,7 +72,8 @@ def est_spectral_norm(apply, apply_adjoint, cols, iters=10, probes=1, seed=None)
     starts = rng.standard_normal((probes, cols))
     best = 0.0
     for start in starts:
-        v = _ritz_vector(apply, apply_adjoint, _unit(start), min(iters, cols))
+        _normalize(start)
+        v = _ritz_vector(apply, apply_adjoint, start, min(iters, cols))
         best = max(best, _normalize(_vector(apply(v))))
     return NormEstimate(value=best, iterations=iters, probes=probes)
 
@@ -130,54 +131,9 @@ def _ritz_vector(apply, apply_adjoint, v, steps):
         v = w / beta
     t = np.diag(alphas) + np.diag(betas, 1)
     _, _, vt = np.linalg.svd(np.ldexp(t, -_scale_exponent(t)))
-    return _unit(vt[0] @ basis[:len(alphas)])
-
-
-def _scale_exponent(v):
-    """Exponent e with max |v| < 2**e <= 2 max |v| (0 for a zero vector);
-    scaling by 2**-e is exact, so B rounds alike on v and on v * 2**-e.
-    Raises FloatingPointError if `v` is not finite."""
-    peak = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
-    if not math.isfinite(peak):
-        raise FloatingPointError("non-finite vector in the spectral-norm estimate")
-    return math.frexp(peak)[1]
-
-
-def _scaled_root(v, form):
-    """Root of the quadratic form `form` of `v`, clamped at zero against
-    round-off. `form` sees `v` scaled by a power of two, which is exact, so
-    entries whose squares overflow or underflow still give the root; a root
-    beyond the float64 range raises FloatingPointError."""
-    e = _scale_exponent(v)
-    return _times_power_of_two(math.sqrt(max(form(np.ldexp(v, -e)), 0.0)), e)
-
-
-def _times_power_of_two(root, e):
-    try:
-        return math.ldexp(root, e)
-    except OverflowError:
-        raise FloatingPointError("norm beyond the float64 range") from None
-
-
-def _normalize(v):
-    """Divide `v` in place by its norm and return the norm, `_norm(v)`; a
-    zero vector stays zero. No temporary is made: `v` holds its power-of-two
-    scaled copy in between, whose quotient by the scaled root is the same."""
-    e = _scale_exponent(v)
-    np.ldexp(v, -e, out=v)
-    root = math.sqrt(v @ v)
-    v /= root or 1.0
-    return _times_power_of_two(root, e)
-
-
-def _norm(v):
-    """np.linalg.norm(v) of a vector, by `_scaled_root`."""
-    return _scaled_root(v, lambda w: w @ w)
-
-
-def _unit(v):
-    """`v` scaled to unit norm; a zero vector stays zero."""
-    return v / (_norm(v) or 1.0)
+    v = vt[0] @ basis[:len(alphas)]
+    _normalize(v)
+    return v
 
 
 def id_residual_operator(a, decomp):

@@ -10,6 +10,8 @@ elsewhere `SrftOp.apply` and `CountSketchOp.apply` (to pick a kernel),
 the entries) test for sparse input.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -26,6 +28,48 @@ def _require_finite(x, message):
     if not np.isfinite(x).all():
         raise FloatingPointError(message)
     return x
+
+
+def _scale_exponent(v):
+    """Exponent e with max |v| < 2**e <= 2 max |v| (0 for a zero vector);
+    scaling by 2**-e is exact for normal entries, and e <= -1022 exactly
+    when max |v| is subnormal. Raises FloatingPointError if `v` is not finite."""
+    peak = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+    if not math.isfinite(peak):
+        raise FloatingPointError("non-finite vector in the spectral-norm estimate")
+    return math.frexp(peak)[1]
+
+
+def _times_power_of_two(root, e):
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:
+        raise FloatingPointError("norm beyond the float64 range") from None
+
+
+def _scaled_root(v, form):
+    """Root of the quadratic form `form` of `v`, clamped at zero against
+    round-off. `form` sees `v` scaled by a power of two, which is exact, so
+    entries whose squares overflow or underflow still give the root; a root
+    beyond the float64 range raises FloatingPointError."""
+    e = _scale_exponent(v)
+    return _times_power_of_two(math.sqrt(max(form(np.ldexp(v, -e)), 0.0)), e)
+
+
+def _norm(v):
+    """np.linalg.norm(v) of a vector, by `_scaled_root`."""
+    return _scaled_root(v, lambda w: w @ w)
+
+
+def _normalize(v):
+    """Divide `v` in place by its norm and return the norm, `_norm(v)`; a
+    zero vector stays zero. No temporary is made: `v` holds its power-of-two
+    scaled copy in between, whose quotient by the scaled root is the same."""
+    e = _scale_exponent(v)
+    np.ldexp(v, -e, out=v)
+    root = math.sqrt(v @ v)
+    v /= root or 1.0
+    return _times_power_of_two(root, e)
 
 
 def as_dense(a, name="a"):

@@ -143,8 +143,8 @@ class TestCpTensor:
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize(
-        "peak", [1e-310, 2.0**-1024, 2.0**-1022 / 3],
-        ids=["1e-310", "2^-1024", "2^-1022/3"],
+        "peak", [1e-310, 2.0**-1024, 2.0**-1022 / 3, np.nextafter(2.0**-1022, 0)],
+        ids=["1e-310", "2^-1024", "2^-1022/3", "below-2^-1022"],
     )
     def test_subnormal_column_raises(self, peak, sparse):
         # below the normal range no power of two scales the column exactly
@@ -180,6 +180,40 @@ class TestCpTensor:
     def test_column_count_mismatch(self):
         with pytest.raises(ValueError):
             CpTensor([1.0], [np.ones((2, 1)), np.ones((2, 2))])
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_power_of_two_scales_weights_exactly(self, sparse):
+        # a column whose squares leave the float64 range is normed on a copy
+        # scaled by its own power of two, put back in the factor's container,
+        # so it is summed like an in-range column. A CSC factor times a row
+        # of powers of two came back as COO, summed in another order: weights
+        # up to 6.0e-16 off 2**k times those of f at every |k| >= 550
+        rng = np.random.default_rng(5)
+        signs = rng.choice([-1.0, 0.0, 0.0, 1.0], size=(5000, 4))
+        f = signs * rng.uniform(1.0, 2.0, size=(5000, 4))
+        f = sp.csc_array(f) if sparse else f
+        g = rng.standard_normal((30, 4))
+        w = rng.uniform(0.5, 2.0, size=4)
+        base = CpTensor(w, [f, g])
+        off = []
+        for k in range(-1000, 1001, 50):
+            x = CpTensor(w, [f * 2.0**k, g])
+            if not (
+                np.array_equal(x.weights, base.weights * 2.0**k)
+                and all(np.array_equal(densify(a), densify(b))
+                        for a, b in zip(x.factors, base.factors))
+            ):
+                off.append(k)
+        assert off == []
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_smallest_normal_column_is_kept(self, sparse):
+        # the subnormal edge: a peak of 2**-1022 is normal and keeps its
+        # exact weight; the next float down raises (test_subnormal_column_raises)
+        f = np.array([[2.0**-1022, 1.0], [0.0, 1.0]])
+        x = CpTensor([1.0, 1.0], [sp.csc_array(f) if sparse else f, np.ones((2, 2))])
+        assert x.weights[0] == 2.0**-1022 * np.sqrt(2.0)
+        assert np.array_equal(densify(x.factors[0])[:, 0], [1.0, 0.0])
 
 
 class TestGram:

@@ -168,6 +168,23 @@ class TestIdResidualOperator:
         assert est.value <= true + 1e-10
         assert est.value >= true / 2.0
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_subnormal_boundary(self, sparse):
+        # the residual's rule for the largest |entry| is CpTensor's: the
+        # smallest normal is accepted, the next float down raises
+        import scipy.sparse as sp
+
+        decomp = matrix_id(np.eye(3, 2), 1)
+
+        def matrix(peak):
+            a = np.array([[peak, 0.0], [0.0, peak / 2], [peak / 4, 0.0]])
+            return sp.csc_array(a) if sparse else a
+
+        apply, _ = id_residual_operator(matrix(2.0**-1022), decomp)
+        assert 0.0 < apply.scale < 1e-307
+        with pytest.raises(FloatingPointError, match="subnormal"):
+            id_residual_operator(matrix(np.nextafter(2.0**-1022, 0)), decomp)
+
 
 @pytest.mark.parametrize("method", MATRIX_METHODS)
 def test_default_estimate_of_id_residuals_is_tight(method):

@@ -378,6 +378,10 @@ NUMERICAL_FAILURES = [
     pytest.param(lambda mp: CpTensor([1.5e308] * 2, [np.ones((3, 2))] * 3),
                  "weights overflow once the factor column norms are folded in",
                  id="cp-weights"),
+    # the column's squares overflow, and its norm once scaled back
+    pytest.param(lambda mp: CpTensor([1.0], [sp.csc_array(np.full((4, 1), 1.5e308))]),
+                 "weights overflow once the factor column norms are folded in",
+                 id="cp-column-norm"),
     pytest.param(lambda mp: gram_tensor_id(overflowing_tensor(), 3),
                  "the sketch overflowed: it has non-finite entries", id="gram"),
     pytest.param(lambda mp: gram_tensor_id(

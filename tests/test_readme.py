@@ -1,9 +1,6 @@
-"""The README's Python quick tour and CLI block run as written.
+"""The README's Python quick tour, CLI block and bench config run as written."""
 
-The `bench` line of the CLI block and the bench config example are not
-run here yet.
-"""
-
+import csv
 import json
 import re
 import shlex
@@ -12,6 +9,7 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
+from idsketch.bench import CSV_HEADER
 from idsketch.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -56,3 +54,20 @@ def test_cli_block_runs(tmp_path, monkeypatch):
         # 0-based indices: the identity block of P sits at columns j
         np.testing.assert_array_equal(p[:, ident["j"]], np.eye(k))
         assert 0 <= report["error_estimate"] < 1
+
+
+def test_bench_line_runs_the_config(tmp_path, monkeypatch):
+    # criterion 5's sweep: 3 sizes x 3 methods x 10 trials, a few seconds
+    monkeypatch.chdir(tmp_path)
+    (config,) = [text for lang, text in fenced_blocks() if lang == "json"]
+    (tmp_path / "cfg.json").write_text(config)
+    (line,) = [line for line in cli_lines() if line.startswith("idsketch bench ")]
+    res = CliRunner().invoke(main, shlex.split(line)[1:])
+    assert res.exit_code == 0, res.output
+
+    with open(tmp_path / "results.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == CSV_HEADER
+    kinds = [row[header.index("row_kind")] for row in rows]
+    assert kinds == ["trial"] * 90 + ["summary"] * 9
+    assert {row[header.index("status")] for row in rows[90:]} == {"ok 10/10"}
