@@ -3,8 +3,8 @@
 Exit codes: 0 on success; 2 on argument/usage errors and bad input,
 including input files with non-finite or complex entries and malformed
 bench configs; 3 on numerical failure during the computation (singular
-systems, floating-point errors, a sketch, Gram or triangle that overflows
-on finite input, a subnormal matrix, a non-finite error). A report whose
+systems, floating-point errors, a sketch or triangle that overflows on
+finite input, a subnormal matrix, a non-finite error). A report whose
 `p` holds a NaN or an infinity is not written: json refuses it, and that
 ValueError exits 2 with json's message ("Out of range float values are
 not JSON compliant: nan").

@@ -27,7 +27,7 @@ from .matrix_id import (
     matrix_id,
 )
 from .mmio import read_matrix_market, write_matrix_market
-from .sketch import _SKETCH_OVERFLOW, KrGaussianOp, TensorSketchOp, _check_factors
+from .sketch import KrGaussianOp, TensorSketchOp, _check_factors
 
 TENSOR_METHODS = ("gram", "gaussian", "tensorsketch")
 
@@ -139,17 +139,13 @@ def _term_gram(factors, others):
 
 
 def gram_hadamard(x):
-    """Gram matrix of the flattened weighted rank-1 terms, computed one mode
-    at a time in O(R^2 sum_n I_n); symmetric PSD up to round-off. It never
-    reads the cached `x.term_gram`: the Gram method pays for its Gram inside
-    its timed sketch phase. While `x.term_gram` is still empty, the
-    unweighted Gram it computes is stored there, read-only, so the error of
-    the reduction (`cp_diff_norm`) reuses it. Being that method's sketch, a
-    Gram that overflows raises FloatingPointError(_SKETCH_OVERFLOW)."""
-    term_gram = _term_gram(x.factors, x.factors)
-    _cache_term_gram(x, term_gram)
-    gram = term_gram * x.weights * x.weights[:, None]
-    return _require_finite(gram, _SKETCH_OVERFLOW)
+    """Unweighted term Gram of `x`, (R, R) and read-only: the elementwise
+    product of the factor Grams, in O(R^2 sum_n I_n); symmetric PSD up to
+    round-off, with entries bounded by about 1, as the columns are unit.
+    Computed afresh, as the Gram method pays for it in its timed sketch
+    phase; stored as `x.term_gram` unless one is cached already, and the
+    cached array is returned, so the errors of the reduction reuse it."""
+    return _cache_term_gram(x, _term_gram(x.factors, x.factors))
 
 
 def _gram_norm(gram, weights):
@@ -234,7 +230,7 @@ def decompose(x, method, rank, sketch_dim=None, seed=None):
     """Rank reduction of `x` by any of TENSOR_METHODS, timed.
 
     Returns (result, sketch_seconds, wall_seconds). For the gram method the
-    sketch is the Gram matrix `gram_hadamard(x)`; the wall time covers
+    sketch is the term Gram `gram_hadamard(x)`; the wall time covers
     validation, sketch and ID.
     """
     t0 = time.perf_counter()
@@ -244,7 +240,7 @@ def decompose(x, method, rank, sketch_dim=None, seed=None):
     sketch_dim = _check_id_args(method, rank, x.rank, sketch_dim, limit)
     if method == "gram":
         return _sketch_and_id(
-            t0, lambda: gram_hadamard(x), lambda g: gram_tensor_id(x, rank, gram=g)
+            t0, lambda: gram_hadamard(x), lambda _: gram_tensor_id(x, rank)
         )
     op_type = TensorSketchOp if method == "tensorsketch" else KrGaussianOp
     return _sketch_and_id(
@@ -270,28 +266,21 @@ def gaussian_tensor_id(x, rank, sketch_dim=None, seed=None):
     return decompose(x, "gaussian", rank, sketch_dim, seed)[0]
 
 
-def gram_tensor_id(x, rank, gram=None):
+def gram_tensor_id(x, rank):
     """Deterministic rank reduction through the R-by-R Gram matrix.
 
     One pivoted Cholesky of the Gram (LAPACK dpstrf) gives the pivots and
     triangle of column-pivoted QR on the flattened weighted terms, the
     greedy rule of every sketched method. The Gram squares the
     conditioning: dpstrf stops once the remaining diagonal falls to
-    sqrt(R * 2**-53) of the first, and later terms count as dependent. A given
-    `gram` must be real and (R, R); a non-finite Gram, given or overflowed,
-    raises FloatingPointError.
+    sqrt(R * 2**-53) of the first, and later terms count as dependent. It
+    factors `x.term_gram` weighted by the weights scaled by 2**-e, e their
+    `_scale_exponent`: the weighted Gram times an exact 4**-e, with the same
+    pivots, coefficients and rank, and it cannot overflow or underflow to zero.
     """
     _check_id_args("gram", rank, x.rank)
-    if gram is None:
-        g = gram_hadamard(x)
-    else:
-        if np.iscomplexobj(gram):
-            raise ValueError("gram has complex entries; input must be real")
-        g = np.asarray(gram, dtype=np.float64)
-        if g.shape != (x.rank, x.rank):
-            raise ValueError(f"gram must have shape {(x.rank, x.rank)}, got {g.shape}")
-        _require_finite(g, "gram has non-finite entries")
-    u, piv, computed_rank, _ = dpstrf(g)
+    w = np.ldexp(x.weights, -_scale_exponent(x.weights))
+    u, piv, computed_rank, _ = dpstrf(x.term_gram * w * w[:, None])
     # dpstrf leaves the rows past its own computed rank unfactored
     rt = np.triu(u[:rank])
     rt[computed_rank:] = 0.0

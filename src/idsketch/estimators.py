@@ -143,14 +143,18 @@ def id_residual_operator(a, decomp):
     coeffs @ x on the selected columns. It is never formed: each direction
     costs one product with `a` plus small dense ones. `apply.scale`, the
     magnitude the products carry, is ||A||_F (1 + ||coeffs||_F). Raises
-    FloatingPointError when that is beyond the float64 range, or when the
-    largest |entry| of `a` is subnormal (positive, below 2.2e-308).
+    ValueError for a non-finite entry of `a`, and FloatingPointError when
+    that scale overflows or max |entry| of `a` is subnormal (below 2.2e-308).
     """
     cols = decomp.cols
     coeffs = decomp.coeffs
     a_t = a.T
     entries = a.data if sp.issparse(a) else np.asarray(a).ravel(order="K")
-    if _scale_exponent(entries) <= -1022:  # 0 < max |entry| < 2**-1022
+    try:
+        e = _scale_exponent(entries)
+    except FloatingPointError:  # bad input, not a numerical failure
+        raise ValueError("a contains non-finite entries") from None
+    if e <= -1022:  # 0 < max |entry| < 2**-1022
         raise FloatingPointError("the largest entry of a is subnormal")
 
     def apply(x):

@@ -125,9 +125,8 @@ def _check_id_args(method, rank, max_rank, sketch_dim=None, limit=None):
 
 
 def _sketch_and_id(t0, sketch, finish):
-    """Hand a sketch to its ID: time `sketch()`, which checks itself finite
-    (the sketch operators and `gram_hadamard` raise _SKETCH_OVERFLOW), and
-    return (finish(sketch), sketch_seconds, seconds since `t0`)."""
+    """Hand a sketch to its ID: time `sketch()`, then return
+    (finish(sketch), sketch_seconds, seconds since `t0`)."""
     t1 = time.perf_counter()
     s = sketch()
     sketch_seconds = time.perf_counter() - t1

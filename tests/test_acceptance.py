@@ -177,8 +177,10 @@ def test_criterion_4_gram_identity():
                 rng.random(r) + 0.5,
                 [rng.standard_normal((d, r)) for d in dims],
             )
-            m = khatri_rao(x.factors) * x.weights
-            worst_gram = max(worst_gram, rel_fro(gram_hadamard(x), m.T @ m))
+            w = x.weights
+            m = khatri_rao(x.factors) * w
+            weighted = gram_hadamard(x) * w * w[:, None]
+            worst_gram = max(worst_gram, rel_fro(weighted, m.T @ m))
             y = CpTensor(
                 rng.random(r) + 0.5,
                 [rng.standard_normal((d, r)) for d in dims],

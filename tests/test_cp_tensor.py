@@ -216,10 +216,16 @@ class TestCpTensor:
         assert np.array_equal(densify(x.factors[0])[:, 0], [1.0, 0.0])
 
 
+def weighted_gram(x):
+    """Gram of the flattened weighted terms, from the unweighted term Gram."""
+    w = x.weights
+    return gram_hadamard(x) * w * w[:, None]
+
+
 class TestGram:
     def test_rank_one(self):
         x = CpTensor([5.0], [np.ones((3, 1)), np.ones((4, 1))])
-        g = gram_hadamard(x)
+        g = weighted_gram(x)
         assert g.shape == (1, 1)
         assert g[0, 0] == pytest.approx(x.weights[0] ** 2, rel=1e-14)
 
@@ -229,14 +235,16 @@ class TestGram:
         q2 = np.linalg.qr(rng.standard_normal((5, 3)))[0]
         lam = np.array([3.0, 2.0, 1.0])
         x = CpTensor(lam, [q1, q2])
-        assert np.abs(gram_hadamard(x) - np.diag(lam**2)).max() <= 1e-12
+        assert np.abs(weighted_gram(x) - np.diag(lam**2)).max() <= 1e-12
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_matches_densified_m(self, sparse):
         rng = np.random.default_rng(1)
         x = random_cp(rng, (4, 4, 4), 3, sparse=sparse)
-        m = khatri_rao(x.factors) * x.weights
-        assert np.abs(gram_hadamard(x) - m.T @ m).max() <= 1e-12
+        k = khatri_rao(x.factors)
+        assert np.abs(gram_hadamard(x) - k.T @ k).max() <= 1e-12
+        m = k * x.weights
+        assert np.abs(weighted_gram(x) - m.T @ m).max() <= 1e-12
 
     def test_psd(self):
         rng = np.random.default_rng(2)
@@ -384,9 +392,12 @@ class TestTermGramCache:
         x = random_cp(np.random.default_rng(24), (4, 3, 5), 6)
         for _ in range(3):
             cp_norm(x)
-            cp_diff_norm(x, gram_tensor_id(x, 2, gram=gram_hadamard(x)))
-        # one cached Gram for every norm; gram_hadamard computes its own
+            gram_hadamard(x)
+            cp_diff_norm(x, gram_tensor_id(x, 2))
+        # one cached Gram for every norm and for the Gram method;
+        # gram_hadamard computes its own
         assert len(calls) == 1 + 3
+        assert gram_hadamard(x) is x.term_gram
         with pytest.raises(ValueError, match="read-only"):
             x.term_gram[0, 0] = 0.0
 

@@ -185,6 +185,19 @@ class TestIdResidualOperator:
         with pytest.raises(FloatingPointError, match="subnormal"):
             id_residual_operator(matrix(np.nextafter(2.0**-1022, 0)), decomp)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_non_finite_matrix_is_bad_input(self, sparse, entry):
+        # raised FloatingPointError("non-finite vector in the spectral-norm
+        # estimate"), a numerical failure, before any estimate ran
+        import scipy.sparse as sp
+
+        a = np.array([[1.0, 0.0], [0.0, entry], [0.5, 0.0]])
+        decomp = matrix_id(np.eye(3, 2), 1)
+        with pytest.raises(ValueError) as exc:
+            id_residual_operator(sp.csc_array(a) if sparse else a, decomp)
+        assert str(exc.value) == "a contains non-finite entries"
+
 
 @pytest.mark.parametrize("method", MATRIX_METHODS)
 def test_default_estimate_of_id_residuals_is_tight(method):

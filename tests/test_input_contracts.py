@@ -12,7 +12,7 @@ from scipy.io import mmwrite
 from idsketch.bench import ExperimentConfig, run_matrix_trial, run_tensor_trial
 from idsketch.cli import EXIT_ARGUMENT, EXIT_NUMERICAL, _emit, main
 from idsketch.cp_tensor import (
-    CpTensor, cp_norm, decompose, gram_hadamard, gram_tensor_id, load_cp_dir,
+    CpTensor, cp_diff_norm, cp_norm, decompose, gram_tensor_id, load_cp_dir,
     save_cp_dir,
 )
 from idsketch.generators import gen_synthetic_matrix, gen_synthetic_tensor
@@ -124,11 +124,9 @@ REAL_TENSOR = CpTensor(np.arange(1.0, 6.0), [np.eye(6, 5) + 0.1] * 3)
          "weights have"),
         (lambda: TensorSketchOp([40], 8).apply([COMPLEX_INPUT.real], np.ones(6) * 1j),
          "weights have"),
-        (lambda: gram_tensor_id(
-            REAL_TENSOR, 3, gram=gram_hadamard(REAL_TENSOR) * (1 + 1j)), "gram has"),
     ],
     ids=["countsketch", "countsketch-sparse", "srft", "gaussian", "tensorsketch",
-         "kr-gaussian-weights", "tensorsketch-weights", "gram"],
+         "kr-gaussian-weights", "tensorsketch-weights"],
 )
 def test_complex_sketch_input_is_rejected(call, message):
     # each used to sketch or decompose the real part, with at most a
@@ -218,11 +216,11 @@ def test_malformed_cp_meta_is_an_input_error(tmp_path, meta):
     assert "error: " in res.output
 
 
-def overflowing_tensor():
+def overflowing_tensor(scale=1e160):
     # finite weights whose squares overflow in the weighted Gram of the gram method
     rng = np.random.default_rng(0)
     factors = [rng.standard_normal((8, 10)) for _ in range(3)]
-    return CpTensor((rng.random(10) + 0.5) * 1e160, factors)
+    return CpTensor((rng.random(10) + 0.5) * scale, factors)
 
 
 @pytest.mark.parametrize("method", ["tensorsketch", "gaussian"])
@@ -285,48 +283,30 @@ def test_overflowing_matrix_is_a_numerical_failure(tmp_path, method):
 
 
 def test_overflowing_gram_is_a_numerical_failure(tmp_path):
-    # the Gram of finite weights x1e160 overflows: exit 3, not 2
+    # the weighted Gram of finite weights x1e160 overflowed and the CLI
+    # exited 3; the Gram of power-of-two scaled weights picks the columns
+    # of the unscaled tensor, with its error times 1e160
     save_cp_dir(tmp_path, overflowing_tensor())
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = CliRunner().invoke(
-            main, ["tensor-id", str(tmp_path), "--rank", "3", "--method", "gram"]
-        )
-    assert res.exit_code == EXIT_NUMERICAL == 3, res.output
-    assert res.output.startswith("numerical failure: ")
+    res = CliRunner().invoke(
+        main, ["tensor-id", str(tmp_path), "--rank", "3", "--method", "gram"]
+    )
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    base = run_tensor_trial(overflowing_tensor(1.0), "gram", 3, None, 0)
+    assert report["id"]["j"] == base[0].cols.tolist() == [9, 8, 7]
+    assert abs(report["error_estimate"] / 1e160 - base[1]) <= 1e-12 * base[1]
 
 
 def test_overflowing_gram_direct_call_is_a_numerical_failure():
-    # gram_tensor_id computing its own Gram raised ValueError ("a contains
-    # non-finite entries"), blaming the finite input; decompose did not
-    x = overflowing_tensor()
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match="overflowed") as direct:
-            gram_tensor_id(x, 3)
-        with pytest.raises(FloatingPointError) as timed:
-            decompose(x, "gram", 3)
-    assert str(direct.value) == str(timed.value)
-
-
-def test_bad_gram_argument_is_rejected():
-    # a NaN Gram meets the check a computed Gram meets, where the pivoted
-    # Cholesky alone returns an ID; a 4 x 4 Gram for 5 terms returned one
-    x = CpTensor(np.arange(1.0, 6.0), [np.eye(6, 5)] * 2)
-    g = gram_hadamard(x)
-    g[1, 2] = g[2, 1] = np.nan
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        gram_tensor_id(x, 3, gram=g)
-    with pytest.raises(ValueError, match=r"shape \(5, 5\)"):
-        gram_tensor_id(x, 3, gram=np.eye(4))
-
-
-def test_nonfinite_gram_argument_is_not_blamed_on_an_overflow():
-    # a caller's non-finite Gram was reported as "the sketch overflowed"
-    x = CpTensor(np.arange(1.0, 6.0), [np.eye(6, 5)] * 2)
-    g = gram_hadamard(x)
-    g[0, 0] = np.inf
-    with pytest.raises(FloatingPointError, match="gram has non-finite") as exc:
-        gram_tensor_id(x, 3, gram=g)
-    assert "overflowed" not in str(exc.value)
+    # gram_tensor_id and decompose raised FloatingPointError ("the sketch
+    # overflowed"); both now reduce the tensor as they do the unscaled one
+    x, base = overflowing_tensor(), overflowing_tensor(1.0)
+    expected = gram_tensor_id(base, 3)
+    base_error = cp_diff_norm(base, expected)
+    for result in (gram_tensor_id(x, 3), decompose(x, "gram", 3)[0]):
+        assert result.cols.tolist() == expected.cols.tolist() == [9, 8, 7]
+        error = cp_diff_norm(x, result)
+        assert abs(error / 1e160 - base_error) <= 1e-12 * base_error
 
 
 def overflowing_norms_dir(path):
@@ -382,12 +362,6 @@ NUMERICAL_FAILURES = [
     pytest.param(lambda mp: CpTensor([1.0], [sp.csc_array(np.full((4, 1), 1.5e308))]),
                  "weights overflow once the factor column norms are folded in",
                  id="cp-column-norm"),
-    pytest.param(lambda mp: gram_tensor_id(overflowing_tensor(), 3),
-                 "the sketch overflowed: it has non-finite entries", id="gram"),
-    pytest.param(lambda mp: gram_tensor_id(
-                     CpTensor(np.arange(1.0, 6.0), [np.eye(6, 5)] * 2), 3,
-                     gram=np.full((5, 5), np.nan)),
-                 "gram has non-finite entries", id="given-gram"),
     pytest.param(nan_error_trial, "non-finite error nan", id="trial-error"),
 ]
 
