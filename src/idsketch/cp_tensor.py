@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.lapack import dpstrf
 
-from .linalg import _require_finite, _scale_exponent, _scaled_root, as_matrix, dense
+from .linalg import (
+    _column_sumsq, _require_finite, _scale_exponent, _scaled_root, as_matrix, dense
+)
 from .matrix_id import (
     InterpolativeDecomposition,
     _check_id_args,
@@ -42,6 +44,8 @@ class CpTensor:
     (and the sign needed to keep weights nonnegative, applied to the first
     mode) into the weights. A column whose squares under- or overflow keeps
     its norm; only an exact zero column gets weight +0.0, and it stays zero.
+    A column's squares are summed over its nonzeros in CSC order, so a
+    factor gives the same weights and factor dense and as CSC.
     A subnormal column (largest entry below 2.2e-308) and weights that
     overflow once the norms are folded in raise FloatingPointError.
     Instances are treated as immutable and are safe to share across
@@ -63,8 +67,7 @@ class CpTensor:
         # an overflow leaves non-finite weights, which raise below
         with np.errstate(divide="ignore", over="ignore"):
             for factor in factors:
-                # not f * f: on a sparse factor that is a sparse-sparse product
-                norms = np.sqrt((factor ** 2).sum(axis=0))
+                norms = np.sqrt(_column_sumsq(factor))
                 # squares out of range (2**-511 is the root of the smallest
                 # normal): norm each column times its own power of two, back in
                 # canonical CSC if sparse (the product is COO), so summed alike
@@ -75,7 +78,7 @@ class CpTensor:
                     if np.any(e <= -1022):
                         raise FloatingPointError("a factor column is subnormal")
                     scaled = as_matrix(factor * np.ldexp(1.0, -e))
-                    root = np.sqrt((scaled ** 2).sum(axis=0))
+                    root = np.sqrt(_column_sumsq(scaled))
                     norms = np.where(bad, np.ldexp(root, e), norms)
                 # columns already unit to round-off are kept bit-identical, so
                 # selecting terms out of a normalized tensor is an exact

@@ -124,6 +124,17 @@ def dense(a):
     return a.toarray() if sp.issparse(a) else a
 
 
+def _column_sumsq(a):
+    """Sum of squares of each column of a dense or canonical CSC matrix,
+    added over its nonzeros in CSC order, so that both containers of one
+    matrix give the same bits. A dense matrix pays for a CSC copy."""
+    squares = sp.csc_array(a)  # a view of CSC input, which stays unchanged
+    # the view's data is replaced, not written: `a ** 2` on the view would
+    # first rescan it for canonical format
+    squares.data = squares.data ** 2
+    return squares.sum(axis=0)
+
+
 def cpqr(a, rank):
     """Column-pivoted Householder QR, truncated to the leading `rank` pivots.
 

@@ -5,7 +5,8 @@ seed) and applied without forming its dense sketching matrix, at the cost
 its sketch family advertises:
 
 - CountSketch of sparse input: one scatter over the nonzeros,
-  O(nnz + L cols); see `CountSketchOp.apply`.
+  O(nnz + L cols), over hash tables of 5 bytes per input row (an int32
+  bucket and an int8 sign); see `CountSketchOp`.
 - TensorSketch: per-mode CountSketches and FFTs of the exact output length.
 - Subsampled Fourier sketch: full-length mixed-radix real FFTs (the half
   spectrum) of dense input; for sparse input only the sampled DFT rows at
@@ -124,6 +125,10 @@ class CountSketchOp:
     receives at least one input row and the densified operator has full
     row rank.
 
+    The tables take 5 bytes per input row: `bucket` is int32 and `sign`
+    int8 (+1 or -1). They are converted from numpy's int64 draws, which
+    are the same for a fixed seed whatever the table dtypes.
+
     Parameters
     ----------
     in_dim, out_dim : int
@@ -143,48 +148,57 @@ class CountSketchOp:
         rng = np.random.default_rng(seed)
         if surjective:
             tail = rng.integers(0, out_dim, size=in_dim - out_dim)
-            slots = np.concatenate([np.arange(out_dim, dtype=np.int64), tail])
-            bucket = rng.permutation(slots)
+            bucket = np.concatenate([np.arange(out_dim), tail])
+            # the draw rng.permutation makes on its copy; numpy shuffles
+            # 8-byte items about twice as fast as 4-byte ones
+            rng.shuffle(bucket)
         else:
             bucket = rng.integers(0, out_dim, size=in_dim)
-        sign = rng.integers(0, 2, size=in_dim).astype(np.float64) * 2.0 - 1.0
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
-        self.bucket = bucket.astype(np.int64)
-        self.sign = sign
+        self.bucket = bucket.astype(np.int32)
+        self.sign = rng.integers(0, 2, size=in_dim).astype(np.int8) * 2 - 1
 
     def apply(self, a):
         """Sketch `a` (sparse or dense, in_dim rows); returns a dense
-        (out_dim, cols) float64 array.
+        (out_dim, cols) float64 array, Fortran-ordered for sparse input.
 
         Sparse input is one `np.bincount` scatter over its nonzeros,
-        out[bucket[i], j] += sign[i] * a[i, j]: O(nnz + out_dim cols) time,
-        and an int64 key and a float64 weight per nonzero. It adds in the
-        order of the product S @ A, ascending input row per output entry,
-        so its bits are that product's; input other than CSC with sorted
-        indices is read as CSR, the form the product reads it in. Dense
-        input keeps the product: a scatter over every entry is no faster
-        there and needs 16 bytes per entry.
+        out[bucket[i], j] += sign[i] * a[i, j], keyed column-major so each
+        column's sums stay in one out_dim block: O(nnz + out_dim cols)
+        time, and an int64 key and a float64 weight per nonzero. The
+        weights are formed in float64, so integer input cannot wrap. It
+        adds in the order of the product S @ A, ascending input row per
+        output entry, so its bits are that product's; input other than CSC
+        with sorted indices is read as CSR, the form the product reads it
+        in. Dense input keeps the product, with a float64 +-1 matrix: a
+        scatter over every entry is no faster there and needs 16 bytes per
+        entry.
         """
         _check_rows(a, self.in_dim, "CountSketch")
         if not sp.issparse(a):
             # one +-1 entry per column; CSR so S @ A streams over rows of A
             cols = np.arange(self.in_dim, dtype=np.int64)
             s = sp.csr_array(
-                (self.sign, (self.bucket, cols)), shape=(self.out_dim, self.in_dim)
+                (self.sign.astype(np.float64), (self.bucket, cols)),
+                shape=(self.out_dim, self.in_dim),
             )
             return _finite_sketch(np.asarray(s @ a, dtype=np.float64), [a])
         if a.format != "csc" or not a.has_sorted_indices:
             a = sp.csr_array(a)  # rows ascending, as the product reads them
-        ncols = a.shape[1]
-        major = np.repeat(np.arange(a.indptr.size - 1), np.diff(a.indptr))
-        rows, cols = (a.indices, major) if a.format == "csc" else (major, a.indices)
-        key = self.bucket[rows] * ncols + cols
-        out = np.bincount(
-            key, weights=self.sign[rows] * a.data, minlength=self.out_dim * ncols
-        )
+        ncols, width = a.shape[1], self.out_dim
+        counts = np.diff(a.indptr)
+        if a.format == "csc":
+            rows = a.indices
+            key = np.repeat(np.arange(0, ncols * width, width), counts)
+        else:
+            rows = np.repeat(np.arange(a.shape[0]), counts)
+            key = np.multiply(a.indices, width, dtype=np.int64)
+        key += self.bucket[rows]
+        weights = np.multiply(a.data, self.sign[rows], dtype=np.float64)
+        out = np.bincount(key, weights=weights, minlength=ncols * width)
         # with no nonzeros bincount returns integer zeros
-        out = out.reshape(self.out_dim, ncols).astype(np.float64, copy=False)
+        out = out.reshape(ncols, width).T.astype(np.float64, copy=False)
         return _finite_sketch(out, [a])
 
 

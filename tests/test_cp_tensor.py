@@ -215,6 +215,30 @@ class TestCpTensor:
         assert x.weights[0] == 2.0**-1022 * np.sqrt(2.0)
         assert np.array_equal(densify(x.factors[0])[:, 0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("k", [0, 600, -540])
+    @pytest.mark.parametrize("seed", ["reproducer", *range(5)])
+    def test_dense_and_csc_give_identical_tensor(self, seed, k):
+        # both containers sum a column's squares over its nonzeros in CSC
+        # order; the dense sum over every entry, zeros included, left the
+        # reproducer's weights 2 and 3 off by -4.4e-16 and -2.2e-16. At 2**k
+        # the squares leave the float64 range and the scaled sum is used
+        if seed == "reproducer":
+            f0 = np.random.default_rng(4).standard_normal((5, 4))
+            f0[3:, 3] = 0.0
+            w = np.ones(4)
+        else:
+            rng = np.random.default_rng(seed)
+            f0 = rng.standard_normal((300, 50))
+            f0[rng.random((300, 50)) < 0.3] = 0.0
+            w = rng.uniform(0.5, 2.0, size=50)
+        f0 = f0 * 2.0**k
+        g = np.random.default_rng(9).standard_normal((7, f0.shape[1]))
+        x = CpTensor(w, [f0, g])
+        y = CpTensor(w, [sp.csc_array(f0), g])
+        assert np.array_equal(x.weights, y.weights)
+        assert all(np.array_equal(densify(a), densify(b))
+                   for a, b in zip(x.factors, y.factors))
+
 
 def weighted_gram(x):
     """Gram of the flattened weighted terms, from the unweighted term Gram."""

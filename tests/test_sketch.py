@@ -96,9 +96,11 @@ class TestCountSketch:
 
 def product_sketch(op, a):
     """The CSR +-1 product S @ A, densified: the reference whose bits the
-    sparse scatter of CountSketchOp.apply must reproduce."""
+    sparse scatter of CountSketchOp.apply must reproduce. S holds float64
+    signs, so integer input is summed in float64 as the scatter sums it."""
     s = sp.csr_array(
-        (op.sign, (op.bucket, np.arange(op.in_dim))), shape=(op.out_dim, op.in_dim)
+        (op.sign.astype(np.float64), (op.bucket, np.arange(op.in_dim))),
+        shape=(op.out_dim, op.in_dim),
     )
     return np.asarray(densify(s @ a), dtype=np.float64)
 
@@ -229,6 +231,30 @@ class TestCountSketchScatter:
             out = op.apply(a)
             assert out.dtype == np.float64 and out.shape == (7, a.shape[1])
             assert np.array_equal(out, product_sketch(op, a)), seed
+
+
+# rows 0 and 1 share bucket 0 with sign -1: column 0 sums to 1.5 * 2**63,
+# beyond int64, and -1 * -2**63 itself wraps to -2**63 in int64
+WRAP_INPUT = np.array([[-2**63, 2**62], [-2**62, 2**62], [2**62, 2**61]])
+WRAP_SKETCH = [
+    [1.3835058055282163712e19, -9.223372036854775808e18],
+    [4.611686018427387904e18, 2.305843009213693952e18],
+]
+
+
+@pytest.mark.parametrize("container", [sp.csc_array, sp.csr_array, np.asarray])
+def test_integer_input_cannot_wrap(container):
+    a = container(WRAP_INPUT)
+    assert a.dtype == np.int64
+    count = CountSketchOp(3, 2, seed=0)
+    tensor = TensorSketchOp([3], 2, seed=0)
+    for op in count, tensor.mode_ops[0]:
+        op.bucket[:] = [0, 0, 1]
+        op.sign[:] = [-1, -1, 1]
+    # length-2 FFTs of these powers of two are exact
+    for out in count.apply(a), tensor.apply([a]):
+        assert out.dtype == np.float64
+        assert np.array_equal(out, WRAP_SKETCH)
 
 
 class TestTensorSketch:
