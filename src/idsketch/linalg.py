@@ -56,15 +56,41 @@ def _scaled_root(v, form):
     return _times_power_of_two(math.sqrt(max(form(np.ldexp(v, -e)), 0.0)), e)
 
 
+# a sum of squares at least this large leaves the subnormal squares, the
+# only ones a power-of-two scaling rounds differently, far below its last bit
+_SUMSQ_MIN = 2.0**-900
+
+
+def _sumsq(v):
+    """v @ v of a float64 vector when that is finite and at least
+    `_SUMSQ_MIN`, so that its root is the range-safe norm, else None
+    (also for NaN, which no comparison admits)."""
+    if v.dtype != np.float64:
+        return None
+    with np.errstate(over="ignore"):  # an overflow reads inf: out of range
+        s = float(v @ v)
+    return s if _SUMSQ_MIN <= s < math.inf else None
+
+
 def _norm(v):
-    """np.linalg.norm(v) of a vector, by `_scaled_root`."""
-    return _scaled_root(v, lambda w: w @ w)
+    """np.linalg.norm(v) of a vector: the root of the plain sum of squares
+    when `_sumsq` admits it, else by `_scaled_root`; both give the same bits."""
+    s = _sumsq(v)
+    return _scaled_root(v, lambda w: w @ w) if s is None else math.sqrt(s)
 
 
 def _normalize(v):
     """Divide `v` in place by its norm and return the norm, `_norm(v)`; a
-    zero vector stays zero. No temporary is made: `v` holds its power-of-two
-    scaled copy in between, whose quotient by the scaled root is the same."""
+    zero vector stays zero. In range (`_sumsq`) that is two passes, the
+    sum and the division. Out of range no temporary is made: `v` holds its
+    power-of-two scaled copy in between, whose quotient by the scaled root
+    is the same but for a subnormal entry, which the scaling may round once
+    more. A NaN or inf entry raises FloatingPointError."""
+    s = _sumsq(v)
+    if s is not None:
+        root = math.sqrt(s)
+        v /= root
+        return root
     e = _scale_exponent(v)
     np.ldexp(v, -e, out=v)
     root = math.sqrt(v @ v)
@@ -126,13 +152,20 @@ def dense(a):
 
 def _column_sumsq(a):
     """Sum of squares of each column of a dense or canonical CSC matrix,
-    added over its nonzeros in CSC order, so that both containers of one
-    matrix give the same bits. A dense matrix pays for a CSC copy."""
-    squares = sp.csc_array(a)  # a view of CSC input, which stays unchanged
-    # the view's data is replaced, not written: `a ** 2` on the view would
-    # first rescan it for canonical format
-    squares.data = squares.data ** 2
-    return squares.sum(axis=0)
+    added over its nonzeros in CSC order by scipy's own rule for a CSC
+    column sum (`np.add.reduceat` over each nonempty column's segment), so
+    that both containers of one matrix give the same bits. A dense matrix
+    reads its nonzeros in that order through a mask, with no CSC copy."""
+    if sp.issparse(a):
+        data, indptr = a.data, a.indptr
+    else:
+        nonzero = a.T != 0.0  # a transposed view: rows are columns
+        data = a.T[nonzero]
+        indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    sums = np.zeros(a.shape[1])
+    filled = np.flatnonzero(np.diff(indptr))  # reduceat misreads empty segments
+    sums[filled] = np.add.reduceat(data**2, indptr[filled])
+    return sums
 
 
 def cpqr(a, rank):

@@ -216,21 +216,29 @@ class TestCpTensor:
         assert np.array_equal(densify(x.factors[0])[:, 0], [1.0, 0.0])
 
     @pytest.mark.parametrize("k", [0, 600, -540])
-    @pytest.mark.parametrize("seed", ["reproducer", *range(5)])
+    @pytest.mark.parametrize(
+        "seed", ["reproducer", *range(5), "fortran", "empty-columns"]
+    )
     def test_dense_and_csc_give_identical_tensor(self, seed, k):
         # both containers sum a column's squares over its nonzeros in CSC
         # order; the dense sum over every entry, zeros included, left the
         # reproducer's weights 2 and 3 off by -4.4e-16 and -2.2e-16. At 2**k
-        # the squares leave the float64 range and the scaled sum is used
+        # the squares leave the float64 range and the scaled sum is used.
+        # A Fortran-ordered factor and zero columns, first and last among
+        # them, read their nonzeros in the same order
         if seed == "reproducer":
             f0 = np.random.default_rng(4).standard_normal((5, 4))
             f0[3:, 3] = 0.0
             w = np.ones(4)
         else:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(7 if isinstance(seed, str) else seed)
             f0 = rng.standard_normal((300, 50))
             f0[rng.random((300, 50)) < 0.3] = 0.0
             w = rng.uniform(0.5, 2.0, size=50)
+        if seed == "fortran":
+            f0 = np.asfortranarray(f0)
+        if seed == "empty-columns":
+            f0[:, [0, 1, 17, 49]] = 0.0
         f0 = f0 * 2.0**k
         g = np.random.default_rng(9).standard_normal((7, f0.shape[1]))
         x = CpTensor(w, [f0, g])

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from idsketch.linalg import (
     SingularTriangleError,
+    _column_sumsq,
+    _norm,
+    _normalize,
     as_csc,
     as_dense,
     cpqr,
@@ -154,3 +159,144 @@ class TestMatrixMarket:
         assert header.startswith("%%MatrixMarket matrix array real general")
         b = read_matrix_market(path)
         assert np.array_equal(a, b)
+
+
+def scaled_exponent(v):
+    """The exponent e of max |v| < 2**e <= 2 max |v| (0 for no entry)."""
+    peak = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+    return math.frexp(peak)[1]
+
+
+def reference_norm(v):
+    """The range-safe norm with every vector scaled by a power of two: the
+    root of the scaled sum of squares, scaled back."""
+    e = scaled_exponent(v)
+    w = np.ldexp(v, -e)
+    return math.ldexp(math.sqrt(max(w @ w, 0.0)), e)
+
+
+def reference_normalize(v):
+    """`_normalize` with every vector scaled in place by a power of two."""
+    e = scaled_exponent(v)
+    np.ldexp(v, -e, out=v)
+    root = math.sqrt(v @ v)
+    v /= root or 1.0
+    return math.ldexp(root, e)
+
+
+def outcome(norm, v):
+    """`norm(v)`, or "overflow" when it leaves the float64 range."""
+    try:
+        return norm(v)
+    except (OverflowError, FloatingPointError):
+        return "overflow"
+
+
+def mantissas():
+    """Finite vectors with max |entry| in [0.5, 1): Gaussian ones of several
+    lengths, one with zero entries, one with entries 2**-60 below its peak."""
+    rng = np.random.default_rng(12)
+    for n in (1, 7, 1000):
+        v = rng.standard_normal(n)
+        yield v / (2.0 * np.abs(v).max())
+    v = rng.uniform(-0.99, 0.99, 300)
+    v[::3] = 0.0
+    yield v
+    v = rng.uniform(-1.0, 1.0, 50) * 2.0**-60
+    v[0] = 0.75
+    yield v
+
+
+def norm_cases():
+    """Every mantissa vector scaled by 2**k for k from -1100 to 1024, so
+    its entries go from all zero through subnormal to the largest finite,
+    plus vectors of subnormal, zero and mixed normal and subnormal entries."""
+    for v in mantissas():
+        for k in range(-1100, 1025, 11):
+            yield np.ldexp(v, k)
+    tiny = np.array([3.0, -7.0, 1.0, 0.0, 2.0**52 - 1]) * 5e-324
+    yield tiny
+    yield np.zeros(4)
+    yield np.zeros(0)
+    for peak in (1.5, 2.0**-1000, 2.0**-500, 2.0**10, 2.0**600):
+        yield np.concatenate([[peak, -peak / 3], tiny, [1e-310, -2.0**-1022]])
+
+
+class TestRangeSafeNorm:
+    """`_norm` and `_normalize` take the plain sum of squares in range and
+    scale by a power of two only outside it; both routes give the bits of
+    the scaled routine."""
+
+    def test_norm_matches_scaled_reference(self):
+        off = [v for v in norm_cases() if outcome(_norm, v) != outcome(reference_norm, v)]
+        assert off == []
+
+    def test_normalize_matches_scaled_reference(self):
+        # the scaled routine rounds a subnormal entry twice when the scaling
+        # shifts it right (2**-e with e > 0): there the entry is the single
+        # rounded quotient, entry / norm
+        off = []
+        for v in norm_cases():
+            expected, out = v.copy(), v.copy()
+            norm = outcome(reference_normalize, expected)
+            e = scaled_exponent(v)
+            rounded_twice = np.ldexp(np.ldexp(v, -e), e) != v
+            if rounded_twice.any():
+                expected[rounded_twice] = v[rounded_twice] / norm
+            if outcome(_normalize, out) != norm or not np.array_equal(out, expected):
+                off.append(v)
+        assert off == []
+
+    def test_normalize_rounds_a_subnormal_entry_once(self):
+        # scaled by 2**-1, the entry 3 * 2**-1074 rounds to 2 * 2**-1074,
+        # and its quotient by 0.75 to 3 * 2**-1074; the quotient of the
+        # entry by the norm 1.5 is 2 * 2**-1074
+        v = np.array([1.5, 3 * 5e-324])
+        expected = v.copy()
+        reference_normalize(expected)
+        assert expected[1] == 3 * 5e-324
+        assert _normalize(v) == 1.5 and v[1] == 2 * 5e-324
+
+    def test_integer_vector_takes_the_scaled_route(self):
+        # the matrix entries `id_residual_operator` norms keep the input's
+        # dtype; an int64 sum of squares would wrap silently at 2**63
+        # (2**32 + 1)**2 wraps to 2**33 + 1
+        v = np.array([2**32 + 1, 0], dtype=np.int64)
+        assert _norm(v) == 2.0**32 + 1
+
+    def test_overflowing_norm_raises(self):
+        v = np.full(4, 2.0**1023)
+        assert _norm(v[:1]) == 2.0**1023
+        with pytest.raises(FloatingPointError, match="beyond the float64 range"):
+            _norm(v)
+        with pytest.raises(FloatingPointError, match="beyond the float64 range"):
+            _normalize(v)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, entry):
+        v = np.array([1.0, entry, 0.5])
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _norm(v)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _normalize(v)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_column_sumsq_matches_the_csc_column_sum(order):
+    # a dense matrix sums its nonzeros in CSC order, as scipy sums a CSC
+    # column: with empty columns, an all-zero matrix and one row among them
+    rng = np.random.default_rng(3)
+    shapes = [(400, 60), (1, 9), (37, 1), (5, 4)]
+    for n, (rows, cols) in enumerate(shapes * 5):
+        a = rng.standard_normal((rows, cols))
+        a[rng.random((rows, cols)) < rng.random()] = 0.0
+        a[:, rng.random(cols) < 0.2] = 0.0
+        if n == len(shapes):
+            a[:] = 0.0
+        a = np.asarray(a, order=order)
+        csc = sp.csc_array(a)
+        squares = csc.copy()
+        squares.data **= 2
+        expected = squares.sum(axis=0)
+        assert np.array_equal(_column_sumsq(a), expected)
+        assert np.array_equal(_column_sumsq(csc), expected)
