@@ -119,18 +119,11 @@ class CpTensor:
 
     @cached_property
     def term_gram(self):
-        """Unweighted Gram of the rank-1 terms, (R, R) and read-only; two
-        threads racing on the first use compute the same array. A
-        `gram_hadamard(x)` call that comes first stores its own, so the
-        errors of a Gram-method reduction compute no second Gram."""
-        return _cache_term_gram(self, _term_gram(self.factors, self.factors))
-
-
-def _cache_term_gram(x, gram):
-    """Make `gram`, the term Gram of `x`, read-only and cache it as
-    `x.term_gram` unless a Gram is cached already; returns the cached one."""
-    gram.flags.writeable = False
-    return vars(x).setdefault("term_gram", gram)
+        """Unweighted Gram of the rank-1 terms, (R, R) and read-only: computed
+        through `gram_hadamard(self)` on first use, unless a call of it came
+        first and stored its own, so the errors of a Gram-method reduction
+        compute no second Gram. Racing first uses compute the same array."""
+        return gram_hadamard(self)
 
 
 def _term_gram(factors, others):
@@ -145,10 +138,13 @@ def gram_hadamard(x):
     """Unweighted term Gram of `x`, (R, R) and read-only: the elementwise
     product of the factor Grams, in O(R^2 sum_n I_n); symmetric PSD up to
     round-off, with entries bounded by about 1, as the columns are unit.
-    Computed afresh, as the Gram method pays for it in its timed sketch
-    phase; stored as `x.term_gram` unless one is cached already, and the
-    cached array is returned, so the errors of the reduction reuse it."""
-    return _cache_term_gram(x, _term_gram(x.factors, x.factors))
+    Computed afresh, as the Gram method pays for it in its timed sketch phase;
+    stored as `x.term_gram` unless one is cached already, and the cached array
+    is returned, so the errors of the reduction reuse it. `x.term_gram`
+    computes through this function on first use."""
+    gram = _term_gram(x.factors, x.factors)
+    gram.flags.writeable = False
+    return vars(x).setdefault("term_gram", gram)
 
 
 def _gram_norm(gram, weights):

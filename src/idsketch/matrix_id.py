@@ -10,13 +10,19 @@ selection, which is what makes them fast on large sparse inputs.
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .linalg import as_matrix, cpqr, dense, triangular_solve
 from .sketch import CountSketchOp, GaussianOp, SrftOp
 
-MATRIX_METHODS = ("deterministic", "gaussian", "srft", "countsketch")
+_SKETCH_OPS = {  # operator classes, whose methods a tracer patches on the class
+    "gaussian": GaussianOp,
+    "srft": SrftOp,
+    "countsketch": partial(CountSketchOp, surjective=True),
+}
+MATRIX_METHODS = ("deterministic", *_SKETCH_OPS)
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_RANK_TOL = 1e-12
 # the methods that draw no sketch, so take no sketch dimension
@@ -139,16 +145,9 @@ def matrix_sketch(a, method, sketch_dim, seed=None):
     Returns the dense sketch whose ID is also an ID of `a` (the SRFT sketch
     has 2 * sketch_dim rows in its real representation).
     """
-    rows = a.shape[0]
-    if method == "countsketch":
-        op = CountSketchOp(rows, sketch_dim, seed=seed, surjective=True)
-    elif method == "gaussian":
-        op = GaussianOp(rows, sketch_dim, seed=seed)
-    elif method == "srft":
-        op = SrftOp(rows, sketch_dim, seed=seed)
-    else:
+    if method not in _SKETCH_OPS:
         raise ValueError(f"unknown sketch method {method!r}")
-    return op.apply(a)
+    return _SKETCH_OPS[method](a.shape[0], sketch_dim, seed=seed).apply(a)
 
 
 def decompose(a, method, rank, sketch_dim=None, seed=None):
@@ -161,6 +160,8 @@ def decompose(a, method, rank, sketch_dim=None, seed=None):
     t0 = time.perf_counter()
     if method == "deterministic":  # cpqr validates the matrix and the rank
         return matrix_id(dense(a), rank), 0.0, time.perf_counter() - t0
+    if method not in _SKETCH_OPS:
+        raise ValueError(f"unknown matrix method {method!r}")
     a = as_matrix(a)
     limit = (a.shape[0], "input rows; use matrix_id directly instead")
     sketch_dim = _check_id_args(method, rank, a.shape[1], sketch_dim, limit)

@@ -165,15 +165,14 @@ class CountSketchOp:
 
         Sparse input is one `np.bincount` scatter over its nonzeros,
         out[bucket[i], j] += sign[i] * a[i, j], keyed column-major so each
-        column's sums stay in one out_dim block: O(nnz + out_dim cols)
-        time, and an int64 key and a float64 weight per nonzero. The
-        weights are formed in float64, so integer input cannot wrap. It
-        adds in the order of the product S @ A, ascending input row per
-        output entry, so its bits are that product's; input other than CSC
-        with sorted indices is read as CSR, the form the product reads it
-        in. Dense input keeps the product, with a float64 +-1 matrix: a
-        scatter over every entry is no faster there and needs 16 bytes per
-        entry.
+        column's sums stay in one out_dim block: O(nnz + out_dim cols) time,
+        and an int64 key and a float64 weight per nonzero. The weights are
+        formed in float64, so integer input cannot wrap. It adds in the order
+        of the product S @ A, so its bits are that product's: sparse input
+        other than CSC with sorted indices is converted once, through CSR, so
+        that each column's rows ascend in the order S @ A reads them. Dense
+        input keeps the product, with a float64 +-1 matrix: a scatter over
+        every entry is no faster there and needs 16 bytes per entry.
         """
         _check_rows(a, self.in_dim, "CountSketch")
         if not sp.issparse(a):
@@ -185,17 +184,11 @@ class CountSketchOp:
             )
             return _finite_sketch(np.asarray(s @ a, dtype=np.float64), [a])
         if a.format != "csc" or not a.has_sorted_indices:
-            a = sp.csr_array(a)  # rows ascending, as the product reads them
+            a = sp.csc_array(sp.csr_array(a))  # new arrays, not a sorted view
         ncols, width = a.shape[1], self.out_dim
-        counts = np.diff(a.indptr)
-        if a.format == "csc":
-            rows = a.indices
-            key = np.repeat(np.arange(0, ncols * width, width), counts)
-        else:
-            rows = np.repeat(np.arange(a.shape[0]), counts)
-            key = np.multiply(a.indices, width, dtype=np.int64)
-        key += self.bucket[rows]
-        weights = np.multiply(a.data, self.sign[rows], dtype=np.float64)
+        key = np.repeat(np.arange(0, ncols * width, width), np.diff(a.indptr))
+        key += self.bucket[a.indices]
+        weights = np.multiply(a.data, self.sign[a.indices], dtype=np.float64)
         out = np.bincount(key, weights=weights, minlength=ncols * width)
         # with no nonzeros bincount returns integer zeros
         out = out.reshape(ncols, width).T.astype(np.float64, copy=False)

@@ -147,6 +147,9 @@ ARGUMENT_RULES = [
      "weights must have length 1, got (2,)"),
     (lambda: CpTensor([np.inf], [np.ones((3, 1))]), "weights must be finite"),
     (lambda: decompose(REAL_TENSOR, "bogus", 2), "unknown tensor method 'bogus'"),
+    # the rank was checked first: "rank must be in [1, 10], got 0"
+    (lambda: matrix_decompose(np.ones((50, 10)), "bogus", 0),
+     "unknown matrix method 'bogus'"),
     (lambda: gen_synthetic_tensor(3, 10, 4, 2, 0.0),
      "density must be in (0, 1], got 0.0"),
     (lambda: cpqr(sp.eye_array(3, format="csc"), 1),

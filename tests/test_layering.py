@@ -1,7 +1,9 @@
 """The power-of-two norm rule lives in `linalg` alone: only `linalg.py`
 uses `frexp`, and no module of the package imports a private name of the
 estimator, whose numerics are its own. The sketch overflow message is the
-sketch operators' own: only `sketch.py` names `_SKETCH_OVERFLOW` in code."""
+sketch operators' own: only `sketch.py` names `_SKETCH_OVERFLOW` in code.
+Containers are decided in `linalg`: outside it, only the four functions
+its docstring names test for sparse input."""
 
 import ast
 from pathlib import Path
@@ -12,20 +14,36 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(ROOT.glob("src/idsketch/*.py"))
 
 
+def names(node, name):
+    """Whether the AST `node` names `name`: as a name (`frexp(x)`), an
+    attribute (`math.frexp(x)`) or an import (`from .sketch import name`);
+    a mention in a string or docstring is no use."""
+    if isinstance(node, ast.ImportFrom):
+        return name in {a.name for a in node.names}
+    return getattr(node, "attr", getattr(node, "id", None)) == name
+
+
 def name_uses(source, name):
-    """Lines whose code names `name`: as a name (`frexp(x)`), an attribute
-    (`math.frexp(x)`) or an import (`from .sketch import name`); a mention
-    in a string or docstring is no use."""
+    """Lines whose code names `name`."""
     tree = ast.parse(source)
-    names = [
-        node.lineno for node in ast.walk(tree)
-        if getattr(node, "attr", getattr(node, "id", None)) == name
-    ]
-    imports = [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and name in {a.name for a in node.names}
-    ]
-    return sorted(names + imports)
+    return sorted(node.lineno for node in ast.walk(tree) if names(node, name))
+
+
+def name_users(source, scope, name):
+    """`scope.Class.function` of each function whose code names `name`; a
+    use outside any function counts as `scope` or `scope.Class`."""
+    users = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if names(node, name):
+            users.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), scope)
+    return sorted(users)
 
 
 def frexp_uses(source):
@@ -75,3 +93,25 @@ def test_name_checker_skips_strings():
         "raise E(_SKETCH_OVERFLOW)\nsketch._SKETCH_OVERFLOW\n"
     )
     assert name_uses(source, "_SKETCH_OVERFLOW") == [2, 3, 4]
+
+
+def test_four_functions_outside_linalg_test_for_sparse_input():
+    users = [
+        user for p in MODULES if p.name != "linalg.py"
+        for user in name_users(p.read_text(), p.stem, "issparse")
+    ]
+    assert users == [
+        "estimators.id_residual_operator",
+        "sketch.CountSketchOp.apply",
+        "sketch.SrftOp.apply",
+        "sketch._finite_sketch",
+    ]
+
+
+def test_scope_checker_names_the_enclosing_function():
+    source = (
+        '"""issparse."""\nfrom scipy.sparse import issparse\n'
+        "class Op:\n    def apply(self, a):\n        return sp.issparse(a)\n"
+        "def f(a):\n    def g():\n        return issparse(a)\n    return g\n"
+    )
+    assert name_users(source, "m", "issparse") == ["m", "m.Op.apply", "m.f.g"]

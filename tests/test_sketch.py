@@ -233,6 +233,33 @@ class TestCountSketchScatter:
             assert np.array_equal(out, product_sketch(op, a)), seed
 
 
+def stored_arrays(a):
+    """Copies of the arrays a sparse container stores: its indices, indptr
+    and data, or a COO's coordinates and data."""
+    arrays = (*a.coords, a.data) if a.format == "coo" else (a.indices, a.indptr, a.data)
+    return [x.copy() for x in arrays]
+
+
+SPARSE_SKETCHES = {
+    "countsketch": lambda a: CountSketchOp(a.shape[0], 7, seed=0).apply(a),
+    "srft": lambda a: SrftOp(a.shape[0], 7, seed=0).apply(a),
+    "kr-gaussian": lambda a: KrGaussianOp([a.shape[0]], 7, seed=0).apply([a]),
+    "tensorsketch": lambda a: TensorSketchOp([a.shape[0]] * 2, 7, seed=0).apply([a, a]),
+}
+
+
+@pytest.mark.parametrize("name", list(edge_inputs()))
+def test_sketch_operators_leave_the_callers_input_unchanged(name):
+    # a sort_indices() on a view that shares the input's arrays would
+    # rewrite them; each operator is applied to the container itself
+    a = edge_inputs()[name]
+    before = stored_arrays(a)
+    for kind, sketch in SPARSE_SKETCHES.items():
+        sketch(a)
+        for was, now in zip(before, stored_arrays(a)):
+            assert was.dtype == now.dtype and np.array_equal(was, now), kind
+
+
 # rows 0 and 1 share bucket 0 with sign -1: column 0 sums to 1.5 * 2**63,
 # beyond int64, and -1 * -2**63 itself wraps to -2**63 in int64
 WRAP_INPUT = np.array([[-2**63, 2**62], [-2**62, 2**62], [2**62, 2**61]])
