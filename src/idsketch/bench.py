@@ -1,6 +1,6 @@
 """Experiment runner: generate synthetic data, decompose with each method,
-time the sketch and decomposition phases separately, and emit replayable
-per-trial reports plus per-cell summaries."""
+report the sketch and wall times each decomposition carries, and emit
+replayable per-trial reports plus per-cell summaries."""
 
 import csv
 import json
@@ -138,22 +138,22 @@ def _tensor_error(x, result, seed):
 
 
 def run_matrix_trial(a, method, rank, sketch_dim, seed):
-    """Decompose `a`, timing the sketch and ID phases separately, and
+    """(decomposition, error): decompose `a`, timed (`decompose`), and
     estimate the spectral-norm error of the result by `est_spectral_norm`
     over `id_residual_operator(a, decomp)`; FloatingPointError for a
     subnormal or overflowing `a`, as there, or a non-finite estimate."""
-    decomp, sketch_time, wall = decompose_matrix(a, method, rank, sketch_dim, seed)
-    return decomp, _matrix_error(a, decomp, seed), sketch_time, wall
+    decomp = decompose_matrix(a, method, rank, sketch_dim, seed)
+    return decomp, _matrix_error(a, decomp, seed)
 
 
 def run_tensor_trial(x, method, rank, sketch_dim, seed):
-    """Reduce `x`, timing the sketch (or Gram) phase separately, and compute
+    """(result, error): reduce `x`, timed (`decompose`), and compute
     the exact Frobenius error of the result in the delta form of
     `cp_diff_norm`. The error reads the term Gram that `x` caches: the one
     the gram method's `gram_hadamard` stored, else one computed on first
     use, so `x` computes it once."""
-    result, sketch_time, wall = decompose_tensor(x, method, rank, sketch_dim, seed)
-    return result, _tensor_error(x, result, seed), sketch_time, wall
+    result = decompose_tensor(x, method, rank, sketch_dim, seed)
+    return result, _tensor_error(x, result, seed)
 
 
 def generate_input(cfg, size):
@@ -206,20 +206,20 @@ def run_experiment(cfg):
                 )
                 reports.append(report)
                 try:
-                    timed = decompose(data, method, cfg.rank, sketch_dim, seed)
+                    result = decompose(data, method, cfg.rank, sketch_dim, seed)
                 except Exception as exc:  # per-trial failures stay in the report
                     report.status = f"failed: {exc}"
                     continue
-                decomposed.append((report, timed))
-        for report, (result, st, wall) in decomposed:
+                decomposed.append((report, result))
+        for report, result in decomposed:
             try:
                 report.error_estimate = error(data, result, report.seed)
             except Exception as exc:
                 report.status = f"failed: {exc}"
                 continue
             report.error_norm_kind = ERROR_NORM_KINDS[cfg.kind]
-            report.sketch_time_seconds = st
-            report.wall_time_seconds = wall
+            report.sketch_time_seconds = result.sketch_time_seconds
+            report.wall_time_seconds = result.wall_time_seconds
     return reports, summarize(reports)
 
 

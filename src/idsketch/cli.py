@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 on success; 2 on argument/usage errors and bad input,
-including input files with non-finite or complex entries and malformed
-bench configs; 3 on numerical failure during the computation (singular
-systems, floating-point errors, a sketch or triangle that overflows on
-finite input, a subnormal matrix, a non-finite error). A report whose
-`p` holds a NaN or an infinity is not written: json refuses it, and that
-ValueError exits 2 with json's message ("Out of range float values are
-not JSON compliant: nan").
+including input files with non-finite or complex entries, malformed bench
+configs and inputs too large for memory (MemoryError); 3 on numerical
+failure during the computation (singular systems, floating-point errors, a
+sketch or triangle that overflows on finite input, a subnormal matrix, a
+non-finite error). A report whose `p` holds a NaN or an infinity is not
+written: json refuses it, and that ValueError exits 2 with json's message
+("Out of range float values are not JSON compliant: nan").
 """
 
 import json
@@ -80,7 +80,7 @@ class _Main(click.Group):
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_ARGUMENT)
 
@@ -118,7 +118,7 @@ def _id_report(path, load, run_trial, describe, norm_kind,
     """Load the input, decompose it and emit the JSON report."""
     data = load(path)
     sketch_dim = None if method in UNSKETCHED_METHODS else rank + oversample
-    result, err, _, wall = run_trial(data, method, rank, sketch_dim, seed)
+    result, err = run_trial(data, method, rank, sketch_dim, seed)
     payload = {
         "input": path,
         **describe(data),
@@ -128,7 +128,8 @@ def _id_report(path, load, run_trial, describe, norm_kind,
         "seed": seed,
         "error_estimate": err,
         "error_norm_kind": norm_kind,
-        "wall_time_seconds": wall,
+        "sketch_time_seconds": result.sketch_time_seconds,
+        "wall_time_seconds": result.wall_time_seconds,
         "id": result.to_dict(),
     }
     _emit(payload, out)

@@ -228,9 +228,8 @@ def tensor_id_from_sketch(x, sketch, rank, method):
 def decompose(x, method, rank, sketch_dim=None, seed=None):
     """Rank reduction of `x` by any of TENSOR_METHODS, timed.
 
-    Returns (result, sketch_seconds, wall_seconds). For the gram method the
-    sketch is the term Gram `gram_hadamard(x)`; the wall time covers
-    validation, sketch and ID.
+    For the gram method the sketch is the term Gram `gram_hadamard(x)`; the
+    wall time covers validation, sketch and ID.
     """
     t0 = time.perf_counter()
     if method not in TENSOR_METHODS:
@@ -256,13 +255,13 @@ def tensorsketch_id(x, rank, sketch_dim=None, seed=None):
     sketch dimension L (default rank + 10); L must stay below the number of
     tensor entries.
     """
-    return decompose(x, "tensorsketch", rank, sketch_dim, seed)[0]
+    return decompose(x, "tensorsketch", rank, sketch_dim, seed)
 
 
 def gaussian_tensor_id(x, rank, sketch_dim=None, seed=None):
     """Rank reduction via the Khatri-Rao structured Gaussian sketch,
     accumulated one mode at a time."""
-    return decompose(x, "gaussian", rank, sketch_dim, seed)[0]
+    return decompose(x, "gaussian", rank, sketch_dim, seed)
 
 
 def gram_tensor_id(x, rank):

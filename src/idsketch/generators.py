@@ -60,7 +60,7 @@ def gen_synthetic_matrix(rows, cols, rank, density, seed=None):
     rows, cols : int
         Shape; requires 2 * rank <= min(rows, cols).
     rank : int
-        Knee position K: coefficients decay to 1e-8 over the first K terms
+        Knee position K >= 1: coefficients decay to 1e-8 over the first K terms
         and remain there for terms K+1 .. 2K.
     density : float
         Target fraction of stored nonzeros, in (0, 1]; requires
@@ -69,6 +69,8 @@ def gen_synthetic_matrix(rows, cols, rank, density, seed=None):
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     if 2 * rank > min(rows, cols):
         raise ValueError(f"need 2 * rank <= min(rows, cols), got rank={rank}")
     if density * rows < 4:

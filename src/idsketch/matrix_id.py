@@ -9,7 +9,7 @@ selection, which is what makes them fast on large sparse inputs.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -33,7 +33,8 @@ UNSKETCHED_METHODS = ("deterministic", "gram")
 class InterpolativeDecomposition:
     """Rank-k column ID: coeffs is (k, cols) with an exact identity in the
     columns listed by `cols`; numerical_rank < rank marks instances where
-    the pivoted triangle needed diagonal regularization."""
+    the pivoted triangle needed diagonal regularization. `decompose` times
+    it; `matrix_id` and `gram_tensor_id` leave both times 0.0."""
 
     coeffs: np.ndarray
     cols: np.ndarray
@@ -41,6 +42,8 @@ class InterpolativeDecomposition:
     method: str
     numerical_rank: int
     rank_deficient: bool
+    sketch_time_seconds: float = field(default=0.0, kw_only=True)
+    wall_time_seconds: float = field(default=0.0, kw_only=True)
 
     def to_dict(self):
         """JSON-ready form; column indices are 0-based."""
@@ -131,12 +134,13 @@ def _check_id_args(method, rank, max_rank, sketch_dim=None, limit=None):
 
 
 def _sketch_and_id(t0, sketch, finish):
-    """Hand a sketch to its ID: time `sketch()`, then return
-    (finish(sketch), sketch_seconds, seconds since `t0`)."""
+    """Hand a sketch to its ID: time `sketch()`, then return finish(sketch)
+    with that sketch time and the seconds since `t0`."""
     t1 = time.perf_counter()
     s = sketch()
     sketch_seconds = time.perf_counter() - t1
-    return finish(s), sketch_seconds, time.perf_counter() - t0
+    return replace(finish(s), sketch_time_seconds=sketch_seconds,
+                   wall_time_seconds=time.perf_counter() - t0)
 
 
 def matrix_sketch(a, method, sketch_dim, seed=None):
@@ -153,13 +157,13 @@ def matrix_sketch(a, method, sketch_dim, seed=None):
 def decompose(a, method, rank, sketch_dim=None, seed=None):
     """Rank-`rank` ID of `a` by any of MATRIX_METHODS, timed.
 
-    Returns (decomposition, sketch_seconds, wall_seconds). The sketch time
-    is 0.0 for the deterministic method, which densifies sparse input; the
-    wall time covers validation, sketch and ID.
+    The sketch time is 0.0 for the deterministic method, which densifies
+    sparse input; the wall time covers validation, sketch and ID.
     """
     t0 = time.perf_counter()
     if method == "deterministic":  # cpqr validates the matrix and the rank
-        return matrix_id(dense(a), rank), 0.0, time.perf_counter() - t0
+        return replace(matrix_id(dense(a), rank),
+                       wall_time_seconds=time.perf_counter() - t0)
     if method not in _SKETCH_OPS:
         raise ValueError(f"unknown matrix method {method!r}")
     a = as_matrix(a)
@@ -180,12 +184,12 @@ def countsketch_id(a, rank, sketch_dim=None, seed=None):
     map is surjective, which keeps the sketch operator itself full rank.
     The default sketch_dim is rank + 10.
     """
-    return decompose(a, "countsketch", rank, sketch_dim, seed)[0]
+    return decompose(a, "countsketch", rank, sketch_dim, seed)
 
 
 def gaussian_id(a, rank, sketch_dim=None, seed=None):
     """Randomized ID from a dense Gaussian row sketch of `a`."""
-    return decompose(a, "gaussian", rank, sketch_dim, seed)[0]
+    return decompose(a, "gaussian", rank, sketch_dim, seed)
 
 
 def srft_id(a, rank, sketch_dim=None, seed=None):
@@ -194,4 +198,4 @@ def srft_id(a, rank, sketch_dim=None, seed=None):
     Sparse input is never densified: only the sampled DFT rows are formed,
     at its nonzero rows, for O(sketch_dim nnz + rows) work.
     """
-    return decompose(a, "srft", rank, sketch_dim, seed)[0]
+    return decompose(a, "srft", rank, sketch_dim, seed)

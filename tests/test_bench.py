@@ -91,7 +91,7 @@ class TestRunExperiment:
         reports, _ = run_experiment(cfg)
         row = next(r for r in reports if r.method == "countsketch" and r.trial == 2)
         data = generate_input(cfg, row.size)
-        _, err, _, _ = run_matrix_trial(
+        _, err = run_matrix_trial(
             data, row.method, row.rank, row.sketch_dim, row.seed
         )
         assert err == row.error_estimate
@@ -115,7 +115,7 @@ class TestRunExperiment:
         assert all(r.error_norm_kind == "frobenius-exact" for r in reports)
         row = next(r for r in reports if r.method == "tensorsketch")
         x = generate_input(cfg, 40)
-        _, err, _, _ = run_tensor_trial(x, "tensorsketch", 5, 15, row.seed)
+        _, err = run_tensor_trial(x, "tensorsketch", 5, 15, row.seed)
         assert err == row.error_estimate
 
     def test_unsketched_methods_record_no_sketch_dim(self, tmp_path):
@@ -131,7 +131,7 @@ class TestRunExperiment:
         assert {r.method: r.sketch_dim for r in reports} == expected
         assert {s["method"]: s["sketch_dim"] for s in summaries} == expected
         row = next(r for r in reports if r.method == "gram")
-        _, err, _, _ = run_tensor_trial(
+        _, err = run_tensor_trial(
             generate_input(cfg, 20), row.method, row.rank, row.sketch_dim, row.seed
         )
         assert err == row.error_estimate
@@ -193,7 +193,8 @@ class TestRunExperiment:
 
 def per_trial_sweep(cfg):
     """Reference sweep: one `run_matrix_trial` / `run_tensor_trial` call per
-    trial, each error evaluated right after its decomposition."""
+    trial, each error evaluated right after its decomposition, the timings
+    read from the returned record."""
     run_trial = run_matrix_trial if cfg.kind == "matrix" else run_tensor_trial
     reports = []
     for size in cfg.sizes:
@@ -207,13 +208,13 @@ def per_trial_sweep(cfg):
                     trial=trial, seed=derive_seed(cfg.seed, 1, size, mi, trial),
                 )
                 try:
-                    _, err, st, wall = run_trial(
+                    result, err = run_trial(
                         data, method, cfg.rank, sketch_dim, report.seed
                     )
                     report.error_norm_kind = ERROR_NORM_KINDS[cfg.kind]
                     report.error_estimate = err
-                    report.sketch_time_seconds = st
-                    report.wall_time_seconds = wall
+                    report.sketch_time_seconds = result.sketch_time_seconds
+                    report.wall_time_seconds = result.wall_time_seconds
                 except Exception as exc:
                     report.status = f"failed: {exc}"
                 reports.append(report)
@@ -242,9 +243,26 @@ def csv_without_timings(path):
     return rows
 
 
-def assert_matches_per_trial_sweep(cfg, reports, summaries, tmp_path):
+def recorded_decompositions(monkeypatch, kind):
+    """List that gains every record the sweep's `decompose` returns."""
+    records = []
+    name = f"decompose_{kind}"
+    original = getattr(bench, name)
+    monkeypatch.setattr(
+        bench, name, lambda *args: records.append(original(*args)) or records[-1]
+    )
+    return records
+
+
+def assert_matches_per_trial_sweep(cfg, reports, summaries, tmp_path, records):
     """The reports equal the reference sweep's in every untimed field, bit
-    for bit, and so does their CSV in every column but the timings."""
+    for bit, and so does their CSV in every column but the timings. The
+    timings of an ok report are those of its own decomposition record."""
+    ok = [(r, d) for r, d in zip(reports, records, strict=True) if r.status == "ok"]
+    assert ok
+    assert [(r.sketch_time_seconds, r.wall_time_seconds) for r, _ in ok] == [
+        (d.sketch_time_seconds, d.wall_time_seconds) for _, d in ok
+    ]
     ref_reports, ref_summaries = per_trial_sweep(cfg)
     assert [untimed(r) for r in reports] == [untimed(r) for r in ref_reports]
     write_csv(tmp_path / "sweep.csv", reports, summaries)
@@ -287,12 +305,13 @@ class TestErrorsAfterDecompositions:
     its reports equal those of one trial after the other."""
 
     @pytest.mark.parametrize("kind", sorted(SWEEPS))
-    def test_reports_match_per_trial_replay(self, kind, tmp_path):
+    def test_reports_match_per_trial_replay(self, kind, monkeypatch, tmp_path):
         cfg = SWEEPS[kind]
+        records = recorded_decompositions(monkeypatch, kind)
         reports, summaries = run_experiment(cfg)
         assert {r.method for r in reports} == set(cfg.methods)
         assert all(r.status == "ok" for r in reports)
-        assert_matches_per_trial_sweep(cfg, reports, summaries, tmp_path)
+        assert_matches_per_trial_sweep(cfg, reports, summaries, tmp_path, records)
 
     @pytest.mark.parametrize(
         "kind, error_step",
@@ -301,6 +320,7 @@ class TestErrorsAfterDecompositions:
     def test_failed_error_step(self, kind, error_step, monkeypatch, tmp_path):
         cfg = SWEEPS[kind]
         calls = every_other_call_fails(monkeypatch, error_step)
+        records = recorded_decompositions(monkeypatch, kind)
         reports, summaries = run_experiment(cfg)
         failed = [r for r in reports if r.status != "ok"]
         assert len(failed) == len(reports) // 2
@@ -309,7 +329,7 @@ class TestErrorsAfterDecompositions:
             assert np.isnan(r.sketch_time_seconds) and np.isnan(r.wall_time_seconds)
             assert np.isnan(r.error_estimate) and r.error_norm_kind == ""
         calls.clear()
-        assert_matches_per_trial_sweep(cfg, reports, summaries, tmp_path)
+        assert_matches_per_trial_sweep(cfg, reports, summaries, tmp_path, records)
 
 
 class TestCsv:

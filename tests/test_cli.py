@@ -39,6 +39,16 @@ class TestGen:
         assert (out / "svalues.txt").exists()
         assert (out / "factor_3.mtx").exists()
 
+    @pytest.mark.parametrize("rank", ["0", "-3"])
+    def test_matrix_rank_below_one_exit_code(self, tmp_path, rank):
+        # rank 0 exited 1 with a ZeroDivisionError; rank -3 exited 2 with
+        # "cannot convert float NaN to integer"
+        out = tmp_path / "x.mtx"
+        res = invoke("gen", "matrix", "--rank", rank, "--out", str(out))
+        assert res.exit_code == 2
+        assert res.output == f"error: rank must be >= 1, got {rank}\n"
+        assert not out.exists()
+
 
 class TestMatrixId:
     def test_end_to_end(self, tmp_path):
@@ -96,6 +106,24 @@ class TestMatrixId:
         assert res.exit_code == 2
         res = invoke("matrix-id", str(tmp_path / "none.mtx"), "--rank", "5")
         assert res.exit_code == 2
+
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch):
+        # numpy's MemoryError, as from densifying a 2,000,000 x 1,000,000
+        # file for the deterministic method, exited 1 with a traceback; the
+        # trial is replaced, as whether a 16 TB request fails at once
+        # depends on the host
+        message = ("Unable to allocate 14.6 TiB for an array with shape "
+                   "(2000000, 1000000) and data type float64")
+
+        def trial(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("idsketch.cli.run_matrix_trial", trial)
+        mtx = tmp_path / "m.mtx"
+        write_matrix_market(mtx, gen_synthetic_matrix(100, 40, 5, 0.1, seed=0))
+        res = invoke("matrix-id", str(mtx), "--rank", "1", "--method", "deterministic")
+        assert res.exit_code == 2
+        assert res.output == f"error: {message}\n"
 
 
 class TestTensorId:
@@ -159,6 +187,18 @@ class TestBench:
         res = invoke("bench", "tensor", "--config", str(cfg))
         assert res.exit_code == 2
 
+    def test_rank_zero_exit_code(self, tmp_path):
+        # the generator divided by zero: exit 1 with a ZeroDivisionError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "matrix", "sizes": [300], "terms": 60, "rank": 0,
+            "sketch_dim": 18, "density": 0.05,
+            "methods": ["countsketch"], "trials": 1, "seed": 1,
+        }))
+        res = invoke("bench", "matrix", "--config", str(cfg))
+        assert res.exit_code == 2
+        assert res.output == "error: rank must be >= 1, got 0\n"
+
 
 def test_id_commands_share_documented_options():
     # both commands list the same options, each with help text
@@ -209,6 +249,24 @@ def id_inputs(tmp_path_factory):
     return {"matrix-id": str(mtx), "tensor-id": str(cp)}
 
 
+@pytest.mark.parametrize(
+    "command, method",
+    [("matrix-id", m) for m in MATRIX_METHODS] + [("tensor-id", m) for m in TENSOR_METHODS],
+)
+def test_report_times(id_inputs, command, method):
+    # the reports dropped the sketch time that every trial computes
+    res = invoke(command, id_inputs[command], "--rank", "5", "--method", method)
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert list(report)[-3:] == ["sketch_time_seconds", "wall_time_seconds", "id"]
+    sketch, wall = report["sketch_time_seconds"], report["wall_time_seconds"]
+    assert 0.0 <= sketch <= wall
+    if method == "deterministic":
+        assert sketch == 0.0
+    if method == "gram":  # the term Gram
+        assert sketch > 0.0
+
+
 class TestReportText:
     """`_emit` writes json.dumps(payload, indent=2, allow_nan=False) byte for
     byte, though it renders id.p itself."""
@@ -242,12 +300,13 @@ class TestReportText:
 
     def report(self, path="a.mtx", p=None):
         a = gen_synthetic_matrix(60, 12, 3, 0.2, seed=3)
-        result, err, _, wall = run_matrix_trial(a, "countsketch", 3, 8, 0)
+        result, err = run_matrix_trial(a, "countsketch", 3, 8, 0)
         ident = result.to_dict()
         if p is not None:
             ident["p"] = p
         return {"input": path, "rows": 60, "cols": 12, "error_estimate": err,
-                "wall_time_seconds": wall, "id": ident}
+                "sketch_time_seconds": result.sketch_time_seconds,
+                "wall_time_seconds": result.wall_time_seconds, "id": ident}
 
     def test_float_formats(self, capsys):
         # where float repr switches between fixed and exponent form, and the

@@ -12,6 +12,7 @@ from idsketch.cp_tensor import (
     _term_gram,
     cp_diff_norm,
     cp_norm,
+    decompose,
     gaussian_tensor_id,
     gram_hadamard,
     gram_tensor_id,
@@ -364,7 +365,7 @@ class TestDeltaError:
     @pytest.mark.parametrize("method", TENSOR_METHODS)
     def test_trial_error_matches_dense(self, knee_tensor, method):
         x = knee_tensor
-        result, err, _, _ = run_tensor_trial(x, method, 20, 30, seed=1)
+        result, err = run_tensor_trial(x, method, 20, 30, seed=1)
         exact = self.dense_error(x, result.reduced)
         assert abs(err - exact) <= 1e-9 * exact
         assert cp_diff_norm(x, result) == err
@@ -374,7 +375,7 @@ class TestDeltaError:
     def test_extreme_weight_scale(self, knee_tensor, method, scale):
         # the ID of x with every weight scaled: same terms, same coefficients
         x = knee_tensor
-        result = run_tensor_trial(x, method, 20, 30, seed=1)[0]
+        result, _ = run_tensor_trial(x, method, 20, 30, seed=1)
         xs = CpTensor(x.weights * scale, x.factors)
         v = result.new_weights * scale
         rs = replace(result, new_weights=v, reduced=xs.select(result.cols, v))
@@ -598,6 +599,31 @@ class TestTensorIds:
         result = tensorsketch_id(x, 3, seed=0)
         assert result.rank == 3 and np.isfinite(result.new_weights).all()
         assert KrGaussianOp([10000] * 5, 13).in_dim == 10**20
+
+
+class TestRecordTimes:
+    """`decompose`, and each sketched wrapper through it, returns the result
+    with its own sketch and wall times; the gram method's sketch is the
+    term Gram."""
+
+    @pytest.mark.parametrize("method", TENSOR_METHODS)
+    def test_decompose_times(self, method):
+        x = gen_synthetic_tensor(3, 40, 20, 5, 0.1, seed=1)
+        r = decompose(x, method, 5, None if method == "gram" else 10, seed=2)
+        assert 0.0 < r.sketch_time_seconds <= r.wall_time_seconds
+
+    def test_wrappers_are_timed_and_direct_calls_are_not(self):
+        x = gen_synthetic_tensor(3, 40, 20, 5, 0.1, seed=1)
+        for wrapper in (tensorsketch_id, gaussian_tensor_id):
+            assert wrapper(x, 5, seed=2).wall_time_seconds > 0.0
+        r = gram_tensor_id(x, 5)
+        assert r.sketch_time_seconds == r.wall_time_seconds == 0.0
+
+    def test_to_dict_leaves_the_times_out(self):
+        r = decompose(gen_synthetic_tensor(3, 40, 20, 5, 0.1, seed=1), "gram", 5)
+        assert list(r.to_dict()) == [
+            "method", "k", "j", "p", "new_svalues", "numerical_rank", "rank_deficient"
+        ]
 
 
 class TestCpDirFormat:

@@ -82,7 +82,7 @@ def cp_path(tmp_path_factory):
 def test_matrix_entry_points_agree(mtx_path, method):
     a = read_matrix_market(mtx_path)
     lib = MATRIX_LIBRARY[method](a)
-    trial, err, _, _ = run_matrix_trial(a, method, RANK, RANK + OVERSAMPLE, SEED)
+    trial, err = run_matrix_trial(a, method, RANK, RANK + OVERSAMPLE, SEED)
     payload = cli_payload("matrix-id", str(mtx_path), "--method", method)
     assert np.array_equal(trial.cols, lib.cols)
     assert np.array_equal(trial.coeffs, lib.coeffs)
@@ -95,7 +95,7 @@ def test_matrix_entry_points_agree(mtx_path, method):
 def test_tensor_entry_points_agree(cp_path, method):
     x = load_cp_dir(cp_path)
     lib = TENSOR_LIBRARY[method](x)
-    trial, err, _, _ = run_tensor_trial(x, method, RANK, RANK + OVERSAMPLE, SEED)
+    trial, err = run_tensor_trial(x, method, RANK, RANK + OVERSAMPLE, SEED)
     payload = cli_payload("tensor-id", str(cp_path), "--method", method)
     assert np.array_equal(trial.cols, lib.cols)
     assert np.array_equal(trial.coeffs, lib.coeffs)

@@ -242,7 +242,7 @@ def test_default_estimate_of_id_residuals_is_tight(method):
     dense = a.toarray()
     norm_a = np.linalg.norm(dense, 2)
     for seed in range(10):
-        decomp, err = run_matrix_trial(a, method, 20, 30, seed)[:2]
+        decomp, err = run_matrix_trial(a, method, 20, 30, seed)
         true = np.linalg.norm(dense[:, decomp.cols] @ decomp.coeffs - dense, 2)
         assert 0.999 * true <= err <= true + 1e-14 * norm_a, (seed, err / true)
 
@@ -257,7 +257,7 @@ def clustered_residuals(seed):
     out = {}
     for method in MATRIX_METHODS:
         sketch_dim = None if method in UNSKETCHED_METHODS else 30
-        decomp = decompose(a, method, 20, sketch_dim, seed=0)[0]
+        decomp = decompose(a, method, 20, sketch_dim, seed=0)
         out[method] = decomp, dense[:, decomp.cols] @ decomp.coeffs - dense
     return a, np.linalg.norm(dense, 2), out
 
@@ -299,8 +299,8 @@ class TestExtremeScales:
         # the absolute tolerance floor let round-off relative to ||A|| fail
         # the test: ValueError for deterministic, countsketch and gaussian
         # at x1e6 and for deterministic and srft at x1e300
-        base = run_matrix_trial(id_matrix(), method, 20, 30, 9)[1]
-        err = run_matrix_trial(id_matrix() * factor, method, 20, 30, 9)[1]
+        _, base = run_matrix_trial(id_matrix(), method, 20, 30, 9)
+        _, err = run_matrix_trial(id_matrix() * factor, method, 20, 30, 9)
         assert err == pytest.approx(base * factor, rel=1e-6)
 
     @pytest.mark.parametrize("factor", [1e6, 2.0**20, 1e300], ids=["1e6", "2^20", "1e300"])
@@ -312,7 +312,7 @@ class TestExtremeScales:
         refused = []
         for method in MATRIX_METHODS:
             sketch_dim = None if method in UNSKETCHED_METHODS else 30
-            d = decompose(a, method, 20, sketch_dim, seed=9)[0]
+            d = decompose(a, method, 20, sketch_dim, seed=9)
             for seed in range(20):
                 try:
                     est_spectral_norm(*id_residual_operator(a, d), cols=120, seed=seed)

@@ -105,6 +105,11 @@ class TestSyntheticMatrix:
             gen_synthetic_matrix(100, 50, 10, 0.01, seed=0)  # density * rows < 4
         with pytest.raises(ValueError):
             gen_synthetic_matrix(100, 50, 10, 1.5, seed=0)
+        # rank 0 divided by zero in the density split (ZeroDivisionError);
+        # rank -3 took the root of a negative share
+        for rank in (0, -3):
+            with pytest.raises(ValueError, match=f"^rank must be >= 1, got {rank}$"):
+                gen_synthetic_matrix(100, 50, rank, 0.05, seed=0)
 
 
 class TestSyntheticTensor:

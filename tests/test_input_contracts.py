@@ -295,9 +295,9 @@ def test_overflowing_gram_is_a_numerical_failure(tmp_path):
     )
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
-    base = run_tensor_trial(overflowing_tensor(1.0), "gram", 3, None, 0)
-    assert report["id"]["j"] == base[0].cols.tolist() == [9, 8, 7]
-    assert abs(report["error_estimate"] / 1e160 - base[1]) <= 1e-12 * base[1]
+    base, base_error = run_tensor_trial(overflowing_tensor(1.0), "gram", 3, None, 0)
+    assert report["id"]["j"] == base.cols.tolist() == [9, 8, 7]
+    assert abs(report["error_estimate"] / 1e160 - base_error) <= 1e-12 * base_error
 
 
 def test_overflowing_gram_direct_call_is_a_numerical_failure():
@@ -306,7 +306,7 @@ def test_overflowing_gram_direct_call_is_a_numerical_failure():
     x, base = overflowing_tensor(), overflowing_tensor(1.0)
     expected = gram_tensor_id(base, 3)
     base_error = cp_diff_norm(base, expected)
-    for result in (gram_tensor_id(x, 3), decompose(x, "gram", 3)[0]):
+    for result in (gram_tensor_id(x, 3), decompose(x, "gram", 3)):
         assert result.cols.tolist() == expected.cols.tolist() == [9, 8, 7]
         error = cp_diff_norm(x, result)
         assert abs(error / 1e160 - base_error) <= 1e-12 * base_error
@@ -449,9 +449,9 @@ def test_report_with_nan_is_not_written():
 def test_report_with_non_finite_coefficient_is_not_written(tmp_path, monkeypatch, value):
     # json's allow_nan=False error, which the CLI maps to exit 2 (not 3)
     def trial(*args):
-        result, err, sketch, wall = run_matrix_trial(*args)
+        result, err = run_matrix_trial(*args)
         result.coeffs[-1, 1] = value
-        return result, err, sketch, wall
+        return result, err
 
     monkeypatch.setattr("idsketch.cli.run_matrix_trial", trial)
     mtx, out = tmp_path / "m.mtx", tmp_path / "id.json"

@@ -3,7 +3,8 @@ uses `frexp`, and no module of the package imports a private name of the
 estimator, whose numerics are its own. The sketch overflow message is the
 sketch operators' own: only `sketch.py` names `_SKETCH_OVERFLOW` in code.
 Containers are decided in `linalg`: outside it, only the four functions
-its docstring names test for sparse input."""
+its docstring names test for sparse input. The clock is read in the
+decompositions alone."""
 
 import ast
 from pathlib import Path
@@ -105,6 +106,16 @@ def test_four_functions_outside_linalg_test_for_sparse_input():
         "sketch.CountSketchOp.apply",
         "sketch.SrftOp.apply",
         "sketch._finite_sketch",
+    ]
+
+
+def test_clock_read_only_in_the_decompositions():
+    # the ID record carries its own timings: bench and cli read them there
+    users = [
+        user for p in MODULES for user in name_users(p.read_text(), p.stem, "perf_counter")
+    ]
+    assert users == [
+        "cp_tensor.decompose", "matrix_id._sketch_and_id", "matrix_id.decompose"
     ]
 
 

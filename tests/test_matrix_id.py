@@ -85,8 +85,8 @@ class TestDeterministic:
         # and 36 coefficients came back NaN
         rng2, rng3 = np.random.default_rng(2), np.random.default_rng(3)
         a = rng2.standard_normal((60, 3)) @ rng3.standard_normal((3, 15))
-        base = decompose(a, method, 6, seed=1)[0]
-        d = decompose(a * 2.0**-990, method, 6, seed=1)[0]
+        base = decompose(a, method, 6, seed=1)
+        d = decompose(a * 2.0**-990, method, 6, seed=1)
         assert np.isfinite(d.coeffs).all()
         assert np.array_equal(d.cols, base.cols)
         assert d.numerical_rank == 3 and d.rank_deficient
@@ -98,7 +98,7 @@ class TestDeterministic:
         # 155, 93 and 93 coefficients -0.0
         a = gen_synthetic_matrix(400, 60, 5, 0.05, seed=0)
         sketch_dim = None if method == "deterministic" else 15
-        d = decompose(a, method, 5, sketch_dim, seed=1)[0]
+        d = decompose(a, method, 5, sketch_dim, seed=1)
         assert not np.signbit(d.coeffs[d.coeffs == 0.0]).any()
 
     def test_nonfinite_rejected(self):
@@ -214,3 +214,31 @@ class TestDeskScaleComparison:
         # accurate; the sketched errors stay within a small factor of it
         assert err100 <= lo
         assert errs["countsketch"] <= 20.0 * err100
+
+
+class TestRecordTimes:
+    """`decompose`, and each sketched wrapper through it, returns the record
+    with its own sketch and wall times."""
+
+    @pytest.mark.parametrize("method", MATRIX_METHODS)
+    def test_decompose_times(self, method):
+        a = gen_synthetic_matrix(400, 60, 5, 0.05, seed=0)
+        sketch_dim = None if method == "deterministic" else 15
+        d = decompose(a, method, 5, sketch_dim, seed=1)
+        assert 0.0 <= d.sketch_time_seconds <= d.wall_time_seconds
+        assert d.wall_time_seconds > 0.0
+        if method == "deterministic":
+            assert d.sketch_time_seconds == 0.0
+
+    def test_wrappers_are_timed_and_direct_calls_are_not(self):
+        a = gen_synthetic_matrix(400, 60, 5, 0.05, seed=0)
+        for wrapper in (countsketch_id, gaussian_id, srft_id):
+            assert wrapper(a, 5, seed=1).wall_time_seconds > 0.0
+        d = matrix_id(a.toarray(), 5)
+        assert d.sketch_time_seconds == d.wall_time_seconds == 0.0
+
+    def test_to_dict_leaves_the_times_out(self):
+        d = decompose(gen_synthetic_matrix(400, 60, 5, 0.05, seed=0), "countsketch", 5)
+        assert list(d.to_dict()) == [
+            "method", "k", "j", "p", "numerical_rank", "rank_deficient"
+        ]

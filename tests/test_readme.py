@@ -54,6 +54,9 @@ def test_cli_block_runs(tmp_path, monkeypatch):
         # 0-based indices: the identity block of P sits at columns j
         np.testing.assert_array_equal(p[:, ident["j"]], np.eye(k))
         assert 0 <= report["error_estimate"] < 1
+        # the two times the README names, just before the ID
+        assert list(report)[-3:] == ["sketch_time_seconds", "wall_time_seconds", "id"]
+        assert 0.0 <= report["sketch_time_seconds"] <= report["wall_time_seconds"]
 
 
 def test_bench_line_runs_the_config(tmp_path, monkeypatch):

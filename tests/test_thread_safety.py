@@ -28,11 +28,11 @@ def every_output(a, x, count, tensor):
     out = []
     for method in TENSOR_METHODS:
         dim = None if method == "gram" else SKETCH_DIM
-        result, err, _, _ = run_tensor_trial(x, method, RANK, dim, seed=5)
+        result, err = run_tensor_trial(x, method, RANK, dim, seed=5)
         out += [result.cols, result.coeffs, result.new_weights, err]
     for method in MATRIX_METHODS:
         dim = None if method in UNSKETCHED_METHODS else SKETCH_DIM
-        decomp, err, _, _ = run_matrix_trial(a, method, RANK, dim, seed=6)
+        decomp, err = run_matrix_trial(a, method, RANK, dim, seed=6)
         out += [decomp.cols, decomp.coeffs, err]
     out += [count.apply(a), count.apply(a.toarray()), tensor.apply(x.factors, x.weights)]
     return out
