@@ -4,10 +4,10 @@ Dense matrices are 2-D float64 numpy arrays (kept Fortran-ordered, since
 every algorithm here consumes columns); sparse matrices are scipy CSC.
 The validators below are the entry points that enforce the container
 invariants (real finite entries, sorted indices, no stored zeros). Only
-this module validates and converts containers (`as_matrix`, `dense`);
-elsewhere `SrftOp.apply` and `CountSketchOp.apply` (to pick a kernel),
-`sketch._finite_sketch` and `estimators.id_residual_operator` (to read
-the entries) test for sparse input.
+this module validates and converts containers (`as_matrix`, `dense`,
+`held_rows`); elsewhere `SrftOp.apply` and `CountSketchOp.apply` (to pick
+a kernel), `sketch._finite_sketch` and `estimators.id_residual_operator`
+(to read the entries) test for sparse input.
 """
 
 import math
@@ -148,6 +148,26 @@ def as_matrix(a, name="a"):
 def dense(a):
     """`a` as an ndarray: sparse input densified, anything else as it is."""
     return a.toarray() if sp.issparse(a) else a
+
+
+def held_rows(a):
+    """(rows, restricted): the nonempty rows of sparse `a` (those holding a
+    stored entry), ascending, and `a` restricted to them, a CSC whose row
+    indices are positions in `rows` and which shares `data` and `indptr`
+    with `a` if `a` is CSC with sorted indices. Other sparse input is first
+    converted into new arrays, through CSR as `CountSketchOp.apply` does,
+    so that each column's rows ascend whatever the container. A dense array
+    is taken as it is, every row held. `a` itself is never modified."""
+    if isinstance(a, np.ndarray):
+        return np.arange(a.shape[0]), a
+    if a.format != "csc" or not a.has_sorted_indices:
+        a = sp.csc_array(sp.csr_array(a))
+    held = np.zeros(a.shape[0], dtype=bool)
+    held[a.indices] = True
+    position = np.cumsum(held, dtype=a.indices.dtype) - 1
+    rows = np.flatnonzero(held)
+    restricted = (a.data, position[a.indices], a.indptr)
+    return rows, sp.csc_array(restricted, shape=(rows.size, a.shape[1]))
 
 
 def _column_sumsq(a):

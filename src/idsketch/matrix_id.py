@@ -188,7 +188,8 @@ def countsketch_id(a, rank, sketch_dim=None, seed=None):
 
 
 def gaussian_id(a, rank, sketch_dim=None, seed=None):
-    """Randomized ID from a dense Gaussian row sketch of `a`."""
+    """Randomized ID from a dense Gaussian row sketch of `a`; sparse input
+    draws normals for its nonempty rows only (`GaussianOp`)."""
     return decompose(a, "gaussian", rank, sketch_dim, seed)
 
 
@@ -196,6 +197,6 @@ def srft_id(a, rank, sketch_dim=None, seed=None):
     """Randomized ID from a subsampled randomized Fourier sketch of `a`.
 
     Sparse input is never densified: only the sampled DFT rows are formed,
-    at its nonzero rows, for O(sketch_dim nnz + rows) work.
+    at its nonempty rows, for O(sketch_dim nnz + rows) work.
     """
     return decompose(a, "srft", rank, sketch_dim, seed)

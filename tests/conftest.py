@@ -49,17 +49,21 @@ def dense_tensorsketch(op):
     return dense_countsketch(bucket % op.out_dim, sign, op.out_dim)
 
 
-def dense_kr_gaussian(op):
-    """Dense (out_dim, prod(mode_dims)) Khatri-Rao Gaussian operator: the
-    transposed Khatri-Rao product of the per-mode factors, each an
-    (I_n, out_dim) standard normal draw from SeedSequence([seed, n])."""
-    factors = [
-        np.random.default_rng(np.random.SeedSequence([op.seed, n])).standard_normal(
-            (dim, op.out_dim)
-        )
-        for n, dim in enumerate(op.mode_dims)
-    ]
-    return khatri_rao(factors).T
+def dense_kr_gaussian(op, factors):
+    """Dense (out_dim, prod(mode_dims)) Khatri-Rao Gaussian operator that
+    `op` applies to `factors`: the transposed Khatri-Rao product of the
+    per-mode (I_n, out_dim) factors. Mode n's factor is zero but in the rows
+    where `factors[n]` holds a stored entry (every row of a dense factor),
+    which take, in ascending order, the rows of the standard normal draw of
+    numpy's SFC64 generator seeded by SeedSequence([seed, n])."""
+    modes = []
+    for n, (dim, f) in enumerate(zip(op.mode_dims, factors)):
+        rows = np.unique(sp.coo_array(f).coords[0]) if sp.issparse(f) else np.arange(dim)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([op.seed, n])))
+        mode = np.zeros((dim, op.out_dim))
+        mode[rows] = rng.standard_normal((rows.size, op.out_dim))
+        modes.append(mode)
+    return khatri_rao(modes).T
 
 
 def matrix_operator(a):

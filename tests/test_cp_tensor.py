@@ -481,7 +481,7 @@ class TestTensorIds:
         op = KrGaussianOp(x.mode_dims, 5, seed=12)
         sketch = op.apply(x.factors, x.weights)
         m = khatri_rao(x.factors) * x.weights
-        assert np.abs(sketch - dense_kr_gaussian(op) @ m).max() <= 1e-12
+        assert np.abs(sketch - dense_kr_gaussian(op, x.factors) @ m).max() <= 1e-12
 
     def test_gram_picks_largest_weights_for_orthonormal_modes(self):
         rng = np.random.default_rng(13)

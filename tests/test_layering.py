@@ -4,7 +4,7 @@ estimator, whose numerics are its own. The sketch overflow message is the
 sketch operators' own: only `sketch.py` names `_SKETCH_OVERFLOW` in code.
 Containers are decided in `linalg`: outside it, only the four functions
 its docstring names test for sparse input. The clock is read in the
-decompositions alone."""
+decompositions alone, and every Gaussian factor is drawn at one site."""
 
 import ast
 from pathlib import Path
@@ -117,6 +117,13 @@ def test_clock_read_only_in_the_decompositions():
     assert users == [
         "cp_tensor.decompose", "matrix_id._sketch_and_id", "matrix_id.decompose"
     ]
+
+
+def test_sfc64_named_only_in_the_gaussian_draw():
+    users = [
+        user for p in MODULES for user in name_users(p.read_text(), p.stem, "SFC64")
+    ]
+    assert users == ["sketch.KrGaussianOp.apply"]
 
 
 def test_scope_checker_names_the_enclosing_function():

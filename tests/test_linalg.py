@@ -12,6 +12,7 @@ from idsketch.linalg import (
     as_csc,
     as_dense,
     cpqr,
+    held_rows,
     triangular_solve,
 )
 from idsketch.matrix_id import matrix_id
@@ -93,6 +94,38 @@ class TestTriangularSolve:
             triangular_solve(np.ones((2, 3)), np.ones(2))
         with pytest.raises(ValueError):
             triangular_solve(np.eye(3), np.ones(2))
+
+
+class TestHeldRows:
+    def test_csc_restricted_to_rows_with_an_entry(self):
+        dense = np.zeros((7, 3))
+        dense[[4, 1, 1, 5], [0, 0, 2, 1]] = [1.0, 2.0, 3.0, 4.0]
+        a = sp.csc_array(dense)
+        rows, held = held_rows(a)
+        assert np.array_equal(rows, [1, 4, 5])
+        assert held.format == "csc" and np.array_equal(held.toarray(), dense[rows])
+        # the restriction remaps the row indices only
+        assert np.shares_memory(held.data, a.data)
+        assert np.shares_memory(held.indptr, a.indptr)
+
+    def test_stored_zero_holds_its_row_and_input_is_untouched(self):
+        # CSR with unsorted column indices and a stored zero in row 3
+        a = sp.csr_array(
+            (np.array([5.0, 2.0, 0.0]), np.array([1, 0, 0]), np.array([0, 0, 2, 2, 3])),
+            shape=(4, 2),
+        )
+        before = [x.copy() for x in (a.data, a.indices, a.indptr)]
+        rows, held = held_rows(a)
+        assert np.array_equal(rows, [1, 3])
+        assert np.array_equal(held.toarray(), [[2.0, 5.0], [0.0, 0.0]])
+        assert held.has_sorted_indices and held.nnz == 3
+        for was, now in zip(before, (a.data, a.indices, a.indptr)):
+            assert np.array_equal(was, now)
+
+    def test_dense_taken_as_it_is(self):
+        a = np.ones((3, 2))
+        rows, held = held_rows(a)
+        assert held is a and np.array_equal(rows, np.arange(3))
 
 
 class TestValidation:

@@ -243,6 +243,7 @@ def stored_arrays(a):
 SPARSE_SKETCHES = {
     "countsketch": lambda a: CountSketchOp(a.shape[0], 7, seed=0).apply(a),
     "srft": lambda a: SrftOp(a.shape[0], 7, seed=0).apply(a),
+    "gaussian": lambda a: GaussianOp(a.shape[0], 7, seed=0).apply(a),
     "kr-gaussian": lambda a: KrGaussianOp([a.shape[0]], 7, seed=0).apply([a]),
     "tensorsketch": lambda a: TensorSketchOp([a.shape[0]] * 2, 7, seed=0).apply([a, a]),
 }
@@ -258,6 +259,34 @@ def test_sketch_operators_leave_the_callers_input_unchanged(name):
         sketch(a)
         for was, now in zip(before, stored_arrays(a)):
             assert was.dtype == now.dtype and np.array_equal(was, now), kind
+
+
+@pytest.mark.parametrize("kind", list(SPARSE_SKETCHES))
+def test_container_twins_sketch_bit_identically(kind):
+    # one matrix as canonical CSC, as COO in shuffled entry order and as CSR
+    # with unsorted column indices: every sketch adds in one order for all
+    a = gen_synthetic_matrix(600, 40, 6, 0.05, seed=8)
+    coo = a.tocoo()
+    order = np.random.default_rng(9).permutation(a.nnz)
+    (r, c), values = (x[order] for x in coo.coords), coo.data[order]
+    csr = compressed(sp.csr_array, values, r, c, a.shape)
+    assert not csr.has_sorted_indices
+    sketch = SPARSE_SKETCHES[kind]
+    expected = sketch(a)
+    for twin in sp.coo_array((values, (r, c)), shape=a.shape), csr:
+        assert np.array_equal(sketch(twin), expected)
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees numpy and scipy allocate in `call()`."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # rows 0 and 1 share bucket 0 with sign -1: column 0 sums to 1.5 * 2**63,
@@ -399,6 +428,15 @@ class TestSrft:
         blocked = op.apply(a)
         assert np.abs(blocked - whole).max() <= 1e-12
 
+    def test_sparse_peak_memory(self):
+        # the phase, quotient and twiddle blocks of _SRFT_ROW_CHUNK = 1024
+        # rows take 3.6 MB at out_dim = 110; with the twiddle table, the
+        # held-rows CSR and the output the apply peaked at 7.3 MB, where
+        # blocks of 8192 rows peaked at 26.3 MB
+        a = gen_synthetic_matrix(32000, 500, 100, 0.005, seed=11)
+        op = SrftOp(32000, 110, seed=11)
+        assert traced_peak(lambda: op.apply(a)) <= 10e6
+
     def test_sparse_zero_input_gives_zero_sketch(self):
         op = SrftOp(40, 6, seed=30)
         out = op.apply(sp.csc_array((40, 5)))
@@ -445,7 +483,7 @@ class TestGaussian:
         rng = np.random.default_rng(21)
         a = rng.standard_normal((30, 6))
         op = GaussianOp(30, 7, seed=22)
-        assert np.abs(op.apply(a) - dense_kr_gaussian(op) @ a).max() <= 1e-12
+        assert np.abs(op.apply(a) - dense_kr_gaussian(op, [a]) @ a).max() <= 1e-12
 
     def test_kr_matches_densified(self):
         rng = np.random.default_rng(23)
@@ -453,7 +491,8 @@ class TestGaussian:
         lam = np.array([1.0, 2.0])
         op = KrGaussianOp([3, 3], 5, seed=24)
         m = khatri_rao(factors) * lam
-        assert np.abs(op.apply(factors, lam) - dense_kr_gaussian(op) @ m).max() <= 1e-12
+        oracle = dense_kr_gaussian(op, factors) @ m
+        assert np.abs(op.apply(factors, lam) - oracle).max() <= 1e-12
 
     def test_kr_single_mode_is_gaussian_op(self):
         rng = np.random.default_rng(25)
@@ -464,17 +503,17 @@ class TestGaussian:
         )
 
     def test_row_addressable_stream(self):
-        # a sparse factor with few nonzero rows sees the same per-mode
-        # factor as a dense one: the result matches the full realization
+        # a sparse factor with few nonzero rows draws normals for those rows
+        # only, beside a dense factor that draws every row of its mode
         rng = np.random.default_rng(0)
         rows = np.array([3, 17, 30])
         factor = np.zeros((40, 2))
         factor[rows] = rng.standard_normal((3, 2))
         other = rng.standard_normal((6, 2))
         op = KrGaussianOp([6, 40], 9, seed=27)
-        out = op.apply([other, sp.csc_array(factor)])
-        oracle = dense_kr_gaussian(op) @ khatri_rao([other, factor])
-        assert np.abs(out - oracle).max() <= 1e-12
+        factors = [other, sp.csc_array(factor)]
+        oracle = dense_kr_gaussian(op, factors) @ khatri_rao([other, factor])
+        assert np.abs(op.apply(factors) - oracle).max() <= 1e-12
 
     def test_isotropy(self):
         # E ||Omega a||^2 = out_dim for any unit vector a
@@ -494,13 +533,24 @@ class TestGaussian:
             GaussianOp(12, 4, seed=5).apply(a), GaussianOp(12, 4, seed=5).apply(a)
         )
 
-    def test_stream_paths_agree(self):
-        # sparse and dense inputs see the same operator: a sparse column
-        # selection gives exactly those columns of the dense identity's sketch
-        op = GaussianOp(50, 7, seed=123)
-        full = op.apply(np.eye(50))
-        subset = op.apply(sp.csc_array(np.eye(50)[:, [0, 3, 49]]))
-        assert np.array_equal(full[:, [0, 3, 49]], subset)
+    def test_sparse_input_is_its_held_rows_sketched(self):
+        # sparse input A sketches to exactly G_S.T @ A[S], S its rows that
+        # hold an entry and G_S the (|S|, L) draw
+        a = gen_synthetic_matrix(400, 30, 5, 0.02, seed=6)
+        rows = np.unique(a.indices)
+        assert 0 < rows.size < 400
+        draw = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence([123, 0]))
+        ).standard_normal((rows.size, 7))
+        expected = draw.T @ sp.csc_array(a.toarray()[rows])
+        assert np.array_equal(GaussianOp(400, 7, seed=123).apply(a), expected)
+
+    def test_sparse_zero_input_gives_zero_sketch(self):
+        # no row holds an entry: nothing is drawn and the sketch is zero
+        for shape in (40, 5), (40, 0):
+            out = GaussianOp(40, 6, seed=29).apply(sp.csc_array(shape))
+            assert out.shape == (6, shape[1])
+            assert np.array_equal(out, np.zeros(out.shape))
 
 
 def kernel_factors(mode_dims, cols, sparse, seed):
@@ -526,8 +576,11 @@ class TestKhatriRaoKernels:
         op = KrGaussianOp(mode_dims, 8, seed=42)
         out = None
         for n, (dim, factor) in enumerate(zip(mode_dims, factors)):
-            rng = np.random.default_rng(np.random.SeedSequence([op.seed, n]))
-            term = rng.standard_normal((dim, 8)).T @ factor
+            bits = np.random.SFC64(np.random.SeedSequence([op.seed, n]))
+            # a sparse factor's rows that hold an entry, a dense one's all
+            rows = np.unique(factor.indices) if sparse else np.arange(dim)
+            held = factor[rows] if sparse else factor
+            term = np.random.Generator(bits).standard_normal((rows.size, 8)).T @ held
             out = term if out is None else out * term
         expected = out * (np.ones(6) if weights is None else weights)
         assert np.array_equal(op.apply(factors, weights), expected)
@@ -594,20 +647,21 @@ class TestGaussianStream:
     )
     @pytest.mark.parametrize("count", [1, 4, 7, 9])
     def test_matches_per_row_generators(self, rows, count):
-        # a sparse input that selects some rows sees exactly those rows of
-        # the full (60, count) draw, whichever other rows it holds
-        draw = np.random.default_rng(
-            np.random.SeedSequence([321, 0])
-        ).standard_normal((60, count))
+        # a sparse input that selects some rows draws one normal row per
+        # selected row, in ascending order, whichever rows they are
+        draw = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence([321, 0]))
+        ).standard_normal((len(rows), count))
         select = sp.csc_array(np.eye(60)[:, rows])
         out = GaussianOp(60, count, seed=321).apply(select)
-        assert np.array_equal(out, draw[rows].T)
+        assert np.array_equal(out, draw.T)
 
     def test_factor_is_numpy_standard_normal(self):
-        # the operator is the generator's (in_dim, out_dim) draw, transposed
+        # on dense input the operator is the (in_dim, out_dim) draw of
+        # numpy's SFC64 generator, transposed
         n, out_dim, seed = 30, 7, 37
-        draw = np.random.default_rng(
-            np.random.SeedSequence([seed, 0])
+        draw = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence([seed, 0]))
         ).standard_normal((n, out_dim))
         assert np.array_equal(GaussianOp(n, out_dim, seed=seed).apply(np.eye(n)), draw.T)
 
@@ -623,21 +677,22 @@ class TestGaussianStream:
         assert np.abs(mode0 - mode1).max() > 0.1
 
     def test_peak_memory_is_one_factor(self):
-        import tracemalloc
-
         dim, out_dim = 20000, 50
         factors = [
             sp.random_array((dim, 30), density=0.01, format="csc", rng=seed)
             for seed in range(3)
         ]
         op = KrGaussianOp([dim] * 3, out_dim, seed=39)
-        tracemalloc.start()
-        try:
-            op.apply(factors)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * dim * out_dim * 8
+        assert traced_peak(lambda: op.apply(factors)) <= 1.5 * dim * out_dim * 8
+
+    def test_peak_memory_is_the_held_rows_draw(self):
+        # 2000 of 20000 rows hold an entry: 2000 rows are drawn, not 20000
+        rng = np.random.default_rng(40)
+        rows = rng.choice(20000, 2000, replace=False)
+        entries = (rng.standard_normal(2000), (rows, rng.integers(0, 30, 2000)))
+        a = sp.csc_array(entries, shape=(20000, 30))
+        op = GaussianOp(20000, 50, seed=41)
+        assert traced_peak(lambda: op.apply(a)) <= 1.5 * 2000 * 50 * 8
 
     def test_sparse_input_with_zero_rows(self):
         rng = np.random.default_rng(35)
@@ -645,4 +700,4 @@ class TestGaussianStream:
         dense[[0, 7, 8, 9, 25, 39]] = 0.0  # zero first, last and interior rows
         a = sp.csc_array(dense)
         op = GaussianOp(40, 6, seed=36)
-        assert np.abs(op.apply(a) - dense_kr_gaussian(op) @ dense).max() <= 1e-12
+        assert np.abs(op.apply(a) - dense_kr_gaussian(op, [a]) @ dense).max() <= 1e-12
